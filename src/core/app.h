@@ -75,9 +75,10 @@ class ScatterContext {
     aggregate_->fetch_add(delta, std::memory_order_relaxed);
   }
 
-  // Degree-order partial-order constraint (paper §3): new vertex IDs are
-  // assigned in descending degree order, so ID comparison is the
-  // constraint used to enumerate each subgraph instance once.
+  // Degree-order partial-order constraint (paper §3): BBP assigns new
+  // vertex IDs in ascending degree order within a machine, so ID
+  // comparison is the constraint used to enumerate each subgraph
+  // instance once.
   static bool CheckPartialOrder(VertexId u, VertexId v) { return u < v; }
 
   using ParentIndex = std::unordered_map<VertexId, std::vector<VertexId>>;

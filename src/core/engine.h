@@ -44,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -62,6 +63,7 @@
 #include "partition/partitioner.h"
 #include "util/bitmap.h"
 #include "util/crc32.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -280,14 +282,7 @@ class NwsmEngine {
   // The memory-model check of Algorithm 1 line 1: the q this query needs
   // on this cluster.
   Result<int> ComputeRequiredQ(const KWalkApp<V, U>& app) const {
-    MemoryModelInput in;
-    in.k = app.k;
-    in.p = pg_->p;
-    in.num_vertices = pg_->num_vertices;
-    in.vertex_attr_bytes = sizeof(V);
-    in.page_size = kPageSize;
-    in.total_budget_bytes = cluster_->machine(0)->WindowMemoryBytes();
-    return ComputeQMin(in);
+    return ComputeQMin(ModelInput(/*m=*/0, app));
   }
 
   // ProcessVertices: writes initial attributes to each machine's disk and
@@ -906,19 +901,13 @@ class NwsmEngine {
   Status ScatterPartial(int m, KWalkApp<V, U>& app) {
     Machine* machine = cluster_->machine(m);
     MachineState& state = *states_[m];
-    const MachinePartition& part = pg_->machines[m];
-    const VertexRange my_range = part.range;
+    const VertexRange my_range = pg_->MachineRange(m);
     const int q = pg_->q;
-    const int pq = pg_->p * q;
+    const int r = pg_->r;
 
     TGPP_ASSIGN_OR_RETURN(
         PageFile file,
         PageFile::Open(machine->disk(), PartitionedGraph::kEdgeFileName));
-
-    // chunks are ordered (i, j, sub): index of first sub-chunk of (i, j).
-    auto chunk_at = [&](int i, int j, int sub) -> const EdgeChunkInfo& {
-      return part.chunks[(static_cast<size_t>(i) * pq + j) * pg_->r + sub];
-    };
 
     // Work-efficient frontier snapshot (algos/frontier.h): when sparse
     // windows are enabled, take a per-superstep view of the active set
@@ -934,14 +923,7 @@ class NwsmEngine {
       view.Build(state.active,
                  my_range.size() /
                      std::max<uint64_t>(1, fopt.sparse_list_den));
-      MemoryModelInput mm;
-      mm.k = app.k;
-      mm.p = pg_->p;
-      mm.num_vertices = pg_->num_vertices;
-      mm.vertex_attr_bytes = sizeof(V);
-      mm.page_size = kPageSize;
-      mm.total_budget_bytes = machine->WindowMemoryBytes();
-      sparse_adj_budget = ComputeWindowSizes(mm, q).adj_window_bytes;
+      sparse_adj_budget = AdjWindowBytes(m, app);
       sparse_adj = std::make_unique<AdjacencyService>(cluster_, pg_, m);
     }
 
@@ -959,6 +941,7 @@ class NwsmEngine {
       trace::TraceSpan window_span("scatter.window", "engine");
       window_span.AddArg("window", static_cast<uint64_t>(i));
       TGPP_RETURN_IF_ERROR(ReadAttrRange(m, vr, &vertex_window));
+      const std::span<const EdgeChunkInfo> window_chunks = WindowChunks(m, i);
 
       // Per-window density decision: a sparse frontier's few sources are
       // fetched by point lookups instead of streaming every edge chunk
@@ -967,13 +950,8 @@ class NwsmEngine {
         const uint64_t active_degree = view.DegreeInRange(
             lo, hi,
             [&](uint64_t bit) { return pg_->out_degree[my_range.begin + bit]; });
-        uint64_t window_edges = 0;
-        for (int j = 0; j < pq; ++j) {
-          for (int sub = 0; sub < pg_->r; ++sub) {
-            window_edges += chunk_at(i, j, sub).num_edges;
-          }
-        }
-        if (ChooseWindowMode(active_in_window, active_degree, window_edges,
+        if (ChooseWindowMode(active_in_window, active_degree,
+                             EdgesIn(window_chunks),
                              fopt) == WindowMode::kSparse) {
           machine->metrics()->frontier_sparse_windows.Add(1);
           window_span.AddArg("mode", static_cast<uint64_t>(1));
@@ -985,12 +963,10 @@ class NwsmEngine {
       }
       machine->metrics()->frontier_dense_windows.Add(1);
 
-      for (int j = 0; j < pq; ++j) {
-        uint64_t edges_in_chunk = 0;
-        for (int sub = 0; sub < pg_->r; ++sub) {
-          edges_in_chunk += chunk_at(i, j, sub).num_edges;
-        }
-        if (edges_in_chunk == 0) continue;
+      for (int j = 0; j < pg_->p * q; ++j) {
+        const std::span<const EdgeChunkInfo> subs =
+            window_chunks.subspan(static_cast<size_t>(j) * r, r);
+        if (EdgesIn(subs) == 0) continue;
 
         engine_internal::DenseLgb<U> lgb;
         lgb.Reset(pg_->DstChunkRange(j));
@@ -998,32 +974,19 @@ class NwsmEngine {
         // NUMA-aware sub-chunk scheduling: one task per sub-chunk; the
         // sub-chunks' destination ranges are disjoint, so LGB updates are
         // CAS-free.
-        // `remaining` must only change under done_mu: the cv and mutex
-        // live on this stack frame, and a decrement outside the lock
-        // lets the waiter observe zero and destroy them while the last
-        // worker is still between its decrement and the notify.
-        int remaining = pg_->r;
-        std::mutex done_mu;
-        std::condition_variable done_cv;
         Status sub_status;
         std::mutex status_mu;
-        for (int sub = 0; sub < pg_->r; ++sub) {
-          const EdgeChunkInfo& chunk = chunk_at(i, j, sub);
-          machine->workers()->Submit([&, chunk] {
-            Status s = ProcessPartialSubChunk(m, app, file, chunk, vr,
+        auto scan_subs = [&](int64_t first, int64_t last) {
+          for (int64_t sub = first; sub < last; ++sub) {
+            Status s = ProcessPartialSubChunk(m, app, file, subs[sub], vr,
                                               vertex_window, &lgb);
             if (!s.ok()) {
               std::lock_guard<std::mutex> lock(status_mu);
               if (sub_status.ok()) sub_status = s;
             }
-            std::lock_guard<std::mutex> lock(done_mu);
-            if (--remaining == 0) done_cv.notify_all();
-          });
-        }
-        {
-          std::unique_lock<std::mutex> lock(done_mu);
-          done_cv.wait(lock, [&] { return remaining == 0; });
-        }
+          }
+        };
+        ParallelFor(machine->workers(), 0, r, /*grain=*/1, scan_subs);
         TGPP_RETURN_IF_ERROR(sub_status);
 
         // AsyncSend(LGB): ship the combined updates to the owner of
@@ -1045,17 +1008,11 @@ class NwsmEngine {
                                 VertexRange vw_range,
                                 const std::vector<V>& vertex_window,
                                 engine_internal::DenseLgb<U>* lgb) {
-    if (chunk.num_pages == 0 && chunk.delta_pages.empty()) {
-      return Status::OK();
-    }
     Machine* machine = cluster_->machine(m);
     MachineState& state = *states_[m];
     const VertexId active_base = pg_->MachineRange(m).begin;
 
-    ScatterContext<V, U> ctx;
-    ctx.level_ = 1;
-    ctx.superstep_ = current_step_.load(std::memory_order_relaxed);
-    ctx.aggregate_ = &state.aggregate;
+    ScatterContext<V, U> ctx = MakeScatterContext(m, /*level=*/1);
     // Ablation path: with local gather disabled, updates bypass the LGB
     // and are shipped raw (uncombined).
     std::vector<uint8_t> raw_updates;
@@ -1073,18 +1030,52 @@ class NwsmEngine {
         ++raw_count;
       };
     }
-    ctx.mark_fn_ = [](VertexId) {};  // partial mode is single level
 
-    // Asynchronous read-ahead: page t+1 is in flight while page t is
-    // scanned (the disk/CPU overlap of 3-LPO). Reads are submitted as
-    // prefetches, so they land in shared buffer-pool frames pinned on
-    // arrival — concurrent misses on distinct pages overlap inside the
-    // pool, and pages surviving into the next superstep count as
-    // bufferpool.prefetch_hits. Tickets are kept and drained before
-    // returning: in-flight callbacks capture the local mu/cv/ready below,
-    // so an early error return without the drain would be a
-    // use-after-scope.
-    // Base pages first, then any mutation delta pages (docs/DYNAMIC.md).
+    TGPP_RETURN_IF_ERROR(ForEachChunkRecord(
+        m, file, chunk, vw_range, /*in_page_order=*/options_.deterministic,
+        [&](VertexId src, std::span<const VertexId> dsts) {
+          if (!state.active.Test(src - active_base)) return;
+          app.adj_scatter[1](ctx, src, vertex_window[src - vw_range.begin],
+                             dsts);
+        }));
+    if (raw_count > 0) {
+      std::vector<uint8_t> payload;
+      AppendPod<uint8_t>(&payload, 0);  // kind: data
+      AppendPod<uint64_t>(&payload, raw_count);
+      payload.insert(payload.end(), raw_updates.begin(),
+                     raw_updates.end());
+      machine->metrics()->updates_sent.Add(raw_count);
+      cluster_->fabric()->Send(m, chunk.dst_chunk / pg_->q, Tag(kTagUpdates),
+                               std::move(payload));
+    }
+    return Status::OK();
+  }
+
+  // Streams one edge chunk's slotted pages — base pages first, then any
+  // mutation delta pages (docs/DYNAMIC.md) — and calls body(src, dsts)
+  // for every record. Every scatter path that scans edge chunks runs
+  // through here.
+  //
+  // Asynchronous read-ahead: page t+1 is in flight while page t is
+  // scanned (the disk/CPU overlap of 3-LPO). Reads are submitted as
+  // prefetches, so they land in shared buffer-pool frames pinned on
+  // arrival — concurrent misses on distinct pages overlap inside the
+  // pool, and pages surviving into the next superstep count as
+  // bufferpool.prefetch_hits. With in_page_order, pages are consumed in
+  // page order so the record order (and any order-dependent
+  // accumulation) is reproducible regardless of I/O completion order;
+  // otherwise in completion order. Tickets are kept and drained before
+  // returning: in-flight callbacks capture the local mu/cv/ready below,
+  // so an early error return without the drain would be a
+  // use-after-scope.
+  template <typename Body>
+  Status ForEachChunkRecord(int m, const PageFile& file,
+                            const EdgeChunkInfo& chunk, VertexRange vw_range,
+                            bool in_page_order, const Body& body) {
+    if (chunk.num_pages == 0 && chunk.delta_pages.empty()) {
+      return Status::OK();
+    }
+    Machine* machine = cluster_->machine(m);
     const std::vector<uint64_t> pages = chunk.PageNumbers();
     const uint64_t count = pages.size();
     std::mutex mu;
@@ -1093,61 +1084,50 @@ class NwsmEngine {
     std::vector<AsyncIoService::Ticket> tickets;
     tickets.reserve(count);
 
-    auto submit_batch = [&](std::vector<uint64_t> page_nos) {
+    // Submits pages [submitted, end) as one batch.
+    uint64_t submitted = 0;
+    auto submit_through = [&](uint64_t end) {
       tickets.push_back(machine->io()->SubmitReads(
-          machine->buffer_pool(), &file, std::move(page_nos),
+          machine->buffer_pool(), &file,
+          std::vector<uint64_t>(pages.begin() + submitted,
+                                pages.begin() + end),
           [&](uint64_t no, PageHandle handle) {
             std::lock_guard<std::mutex> lock(mu);
             ready.emplace_back(no, std::move(handle));
             cv.notify_all();
           },
           /*prefetch=*/true));
+      submitted = end;
     };
-    auto submit = [&](uint64_t page_no) { submit_batch({page_no}); };
 
-    const uint64_t read_ahead =
-        static_cast<uint64_t>(std::max(1, options_.read_ahead_pages));
     // The initial window goes down in ONE batch so the device can merge
     // adjacent pages into vectored requests; refills stay single-page.
-    uint64_t submitted = std::min(count, read_ahead);
-    if (submitted > 0) {
-      std::vector<uint64_t> window(pages.begin(), pages.begin() + submitted);
-      submit_batch(std::move(window));
-    }
+    submit_through(std::min<uint64_t>(
+        count, static_cast<uint64_t>(std::max(1, options_.read_ahead_pages))));
     Status scan_status;
     for (uint64_t processed = 0; processed < count; ++processed) {
       std::pair<uint64_t, PageHandle> item;
       {
         std::unique_lock<std::mutex> lock(mu);
-        if (options_.deterministic) {
-          // Consume pages in page order so the scatter order (and any
-          // order-dependent accumulation) is reproducible regardless of
-          // I/O completion order.
-          const uint64_t want = pages[processed];
-          auto found = ready.end();
-          cv.wait(lock, [&] {
-            found = std::find_if(
-                ready.begin(), ready.end(),
-                [&](const auto& r) { return r.first == want; });
-            return found != ready.end();
-          });
-          item = std::move(*found);
-          ready.erase(found);
-        } else {
-          cv.wait(lock, [&] { return !ready.empty(); });
-          item = std::move(ready.front());
-          ready.pop_front();
-        }
+        auto found = ready.end();
+        cv.wait(lock, [&] {
+          found = in_page_order
+                      ? std::find_if(ready.begin(), ready.end(),
+                                     [&](const auto& r) {
+                                       return r.first == pages[processed];
+                                     })
+                      : ready.begin();
+          return found != ready.end();
+        });
+        item = std::move(*found);
+        ready.erase(found);
       }
       if (!item.second.valid()) {
         // Failed page read (the ticket drain below retrieves the cause).
         scan_status = Status::IOError("async page read failed");
         break;
       }
-      if (submitted < count) {
-        submit(pages[submitted]);
-        ++submitted;
-      }
+      if (submitted < count) submit_through(submitted + 1);
       SlottedPageReader reader(item.second.data());
       // Never trust on-disk bytes: a corrupt slot directory must surface
       // as Status::Corruption, not as an out-of-bounds read.
@@ -1161,9 +1141,7 @@ class NwsmEngine {
               "record src " + std::to_string(src) + " outside chunk range");
           break;
         }
-        if (!state.active.Test(src - active_base)) continue;
-        const V& attr = vertex_window[src - vw_range.begin];
-        app.adj_scatter[1](ctx, src, attr, reader.DstsAt(s));
+        body(src, reader.DstsAt(s));
       }
       if (!scan_status.ok()) break;
     }
@@ -1174,18 +1152,7 @@ class NwsmEngine {
         scan_status = s;  // the underlying cause beats the generic note
       }
     }
-    TGPP_RETURN_IF_ERROR(scan_status);
-    if (raw_count > 0) {
-      std::vector<uint8_t> payload;
-      AppendPod<uint8_t>(&payload, 0);  // kind: data
-      AppendPod<uint64_t>(&payload, raw_count);
-      payload.insert(payload.end(), raw_updates.begin(),
-                     raw_updates.end());
-      machine->metrics()->updates_sent.Add(raw_count);
-      cluster_->fabric()->Send(m, chunk.dst_chunk / pg_->q, Tag(kTagUpdates),
-                               std::move(payload));
-    }
-    return Status::OK();
+    return scan_status;
   }
 
   // ---- sparse-window scatter (work-efficient push) ----
@@ -1208,7 +1175,6 @@ class NwsmEngine {
                              AdjacencyService* adj_service,
                              uint64_t adj_budget) {
     Machine* machine = cluster_->machine(m);
-    MachineState& state = *states_[m];
     const VertexRange my_range = pg_->MachineRange(m);
 
     std::vector<VertexId> pending;
@@ -1222,11 +1188,7 @@ class NwsmEngine {
     // byte-stable run to run.
     std::vector<std::pair<VertexId, U>> acc;
     std::unordered_map<VertexId, size_t> slot_of;
-    ScatterContext<V, U> ctx;
-    ctx.level_ = 1;
-    ctx.superstep_ = current_step_.load(std::memory_order_relaxed);
-    ctx.aggregate_ = &state.aggregate;
-    ctx.mark_fn_ = [](VertexId) {};
+    ScatterContext<V, U> ctx = MakeScatterContext(m, /*level=*/1);
     ctx.update_fn_ = [&](VertexId dst, const U& val) {
       machine->metrics()->updates_generated.Add(1);
       auto [it, inserted] = slot_of.try_emplace(dst, acc.size());
@@ -1237,17 +1199,8 @@ class NwsmEngine {
       }
     };
 
-    size_t pos = 0;
-    while (pos < pending.size()) {
-      uint64_t batch_bytes = 0;
-      size_t end = pos;
-      while (end < pending.size()) {
-        const uint64_t bytes =
-            (pg_->out_degree[pending[end]] + 2) * sizeof(VertexId);
-        if (end > pos && batch_bytes + bytes > adj_budget) break;
-        batch_bytes += bytes;
-        ++end;
-      }
+    for (size_t pos = 0, end = 0; pos < pending.size(); pos = end) {
+      end = NextBatchEnd(pending, pos, adj_budget, /*split_by_owner=*/false);
       AdjBatch batch;
       TGPP_RETURN_IF_ERROR(adj_service->MaterializeLocal(
           std::span<const VertexId>(pending.data() + pos, end - pos),
@@ -1257,30 +1210,8 @@ class NwsmEngine {
         app.adj_scatter[1](ctx, vid, vertex_window[vid - vr.begin],
                            batch.Neighbors(idx));
       }
-      pos = end;
     }
-
-    // Ship per owner machine (same wire format as the raw/full paths).
-    std::vector<std::vector<uint8_t>> per_owner(pg_->p);
-    std::vector<uint64_t> counts(pg_->p, 0);
-    for (const auto& [vid, val] : acc) {
-      const int owner = pg_->OwnerOf(vid);
-      if (per_owner[owner].empty()) {
-        AppendPod<uint8_t>(&per_owner[owner], 0);  // kind: data
-        AppendPod<uint64_t>(&per_owner[owner], 0);  // patched below
-      }
-      AppendPod<VertexId>(&per_owner[owner], vid);
-      AppendPod<U>(&per_owner[owner], val);
-      ++counts[owner];
-    }
-    for (int dst = 0; dst < pg_->p; ++dst) {
-      if (per_owner[dst].empty()) continue;
-      std::memcpy(per_owner[dst].data() + 1, &counts[dst],
-                  sizeof(uint64_t));
-      machine->metrics()->updates_sent.Add(counts[dst]);
-      cluster_->fabric()->Send(m, dst, Tag(kTagUpdates),
-                               std::move(per_owner[dst]));
-    }
+    ShipToOwners(m, acc);
     return Status::OK();
   }
 
@@ -1302,14 +1233,13 @@ class NwsmEngine {
   // The scan is serial per machine: in pull mode sub-chunks share source
   // ranges (every chunk of window i touches the same pulling vertices),
   // so the dense path's CAS-free parallelism does not apply; the early
-  // exits are what make the superstep cheap.
+  // exits are what make the superstep cheap. Pull claims make record
+  // order observable, so pages are always consumed in page order.
   Status ScatterPull(int m, KWalkApp<V, U>& app) {
     Machine* machine = cluster_->machine(m);
     MachineState& state = *states_[m];
-    const MachinePartition& part = pg_->machines[m];
-    const VertexRange my_range = part.range;
+    const VertexRange my_range = pg_->MachineRange(m);
     const int q = pg_->q;
-    const int pq = pg_->p * q;
 
     // Frontier allgather. n/8 bytes per peer — the (honestly accounted)
     // price of a dense superstep, in place of its update traffic.
@@ -1341,9 +1271,6 @@ class NwsmEngine {
     TGPP_ASSIGN_OR_RETURN(
         PageFile file,
         PageFile::Open(machine->disk(), PartitionedGraph::kEdgeFileName));
-    auto chunk_at = [&](int i, int j, int sub) -> const EdgeChunkInfo& {
-      return part.chunks[(static_cast<size_t>(i) * pq + j) * pg_->r + sub];
-    };
 
     std::vector<V> vertex_window;
     std::vector<uint8_t> claimed;
@@ -1358,11 +1285,7 @@ class NwsmEngine {
       engine_internal::DenseLgb<U> lgb;
       lgb.Reset(vr);
       claimed.assign(vr.size(), 0);
-      ScatterContext<V, U> ctx;
-      ctx.level_ = 1;
-      ctx.superstep_ = current_step_.load(std::memory_order_relaxed);
-      ctx.aggregate_ = &state.aggregate;
-      ctx.mark_fn_ = [](VertexId) {};
+      ScatterContext<V, U> ctx = MakeScatterContext(m, /*level=*/1);
       ctx.update_fn_ = [&](VertexId dst, const U& val) {
         TGPP_CHECK(vr.Contains(dst))
             << "pull_scatter may only update its own source vertex";
@@ -1371,14 +1294,26 @@ class NwsmEngine {
         claimed[dst - vr.begin] = 1;
       };
 
-      for (int j = 0; j < pq; ++j) {
-        for (int sub = 0; sub < pg_->r; ++sub) {
-          TGPP_RETURN_IF_ERROR(PullScanChunk(m, app, file,
-                                             chunk_at(i, j, sub), vr,
-                                             vertex_window, &claimed,
-                                             in_frontier, &ctx));
-        }
+      uint64_t skipped = 0;
+      Status scan_status;
+      for (const EdgeChunkInfo& chunk : WindowChunks(m, i)) {
+        scan_status = ForEachChunkRecord(
+            m, file, chunk, vr, /*in_page_order=*/true,
+            [&](VertexId src, std::span<const VertexId> dsts) {
+              const uint64_t idx = src - vr.begin;
+              const V& attr = vertex_window[idx];
+              if (claimed[idx] || (app.pull_done && app.pull_done(attr))) {
+                ++skipped;
+                return;
+              }
+              app.pull_scatter(ctx, src, attr, dsts, in_frontier);
+            });
+        if (!scan_status.ok()) break;
       }
+      if (skipped > 0) {
+        machine->metrics()->pull_records_skipped.Add(skipped);
+      }
+      TGPP_RETURN_IF_ERROR(scan_status);
 
       const uint64_t combined = lgb.present_count();
       if (combined > 0) {
@@ -1391,112 +1326,6 @@ class NwsmEngine {
     return Status::OK();
   }
 
-  // Streams one edge chunk for the pull scan, read-ahead overlapped but
-  // consumed in page order (pull claims make record order observable, so
-  // the scan is always deterministic).
-  Status PullScanChunk(int m, KWalkApp<V, U>& app, const PageFile& file,
-                       const EdgeChunkInfo& chunk, VertexRange vw_range,
-                       const std::vector<V>& vertex_window,
-                       std::vector<uint8_t>* claimed,
-                       const std::function<bool(VertexId)>& in_frontier,
-                       ScatterContext<V, U>* ctx) {
-    if (chunk.num_pages == 0 && chunk.delta_pages.empty()) {
-      return Status::OK();
-    }
-    Machine* machine = cluster_->machine(m);
-
-    // Base pages first, then any mutation delta pages (docs/DYNAMIC.md).
-    const std::vector<uint64_t> pages = chunk.PageNumbers();
-    const uint64_t count = pages.size();
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::pair<uint64_t, PageHandle>> ready;
-    std::vector<AsyncIoService::Ticket> tickets;
-    tickets.reserve(count);
-    auto submit_batch = [&](std::vector<uint64_t> page_nos) {
-      tickets.push_back(machine->io()->SubmitReads(
-          machine->buffer_pool(), &file, std::move(page_nos),
-          [&](uint64_t no, PageHandle handle) {
-            std::lock_guard<std::mutex> lock(mu);
-            ready.emplace_back(no, std::move(handle));
-            cv.notify_all();
-          },
-          /*prefetch=*/true));
-    };
-    auto submit = [&](uint64_t page_no) { submit_batch({page_no}); };
-    const uint64_t read_ahead =
-        static_cast<uint64_t>(std::max(1, options_.read_ahead_pages));
-    // One batched submit for the initial window (merge-friendly);
-    // refills stay single-page.
-    uint64_t submitted = std::min(count, read_ahead);
-    if (submitted > 0) {
-      std::vector<uint64_t> window(pages.begin(), pages.begin() + submitted);
-      submit_batch(std::move(window));
-    }
-    Status scan_status;
-    uint64_t skipped = 0;
-    for (uint64_t processed = 0; processed < count; ++processed) {
-      std::pair<uint64_t, PageHandle> item;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        const uint64_t want = pages[processed];
-        auto found = ready.end();
-        cv.wait(lock, [&] {
-          found = std::find_if(ready.begin(), ready.end(), [&](const auto& r) {
-            return r.first == want;
-          });
-          return found != ready.end();
-        });
-        item = std::move(*found);
-        ready.erase(found);
-      }
-      if (!item.second.valid()) {
-        scan_status = Status::IOError("async page read failed");
-        break;
-      }
-      if (submitted < count) {
-        submit(pages[submitted]);
-        ++submitted;
-      }
-      SlottedPageReader reader(item.second.data());
-      // Bounds-check the slot directory before indexing with it.
-      scan_status = reader.Validate();
-      if (!scan_status.ok()) break;
-      const uint32_t slots = reader.num_slots();
-      for (uint32_t s = 0; s < slots; ++s) {
-        const VertexId src = reader.SrcAt(s);
-        if (src < vw_range.begin || src >= vw_range.end) {
-          scan_status = Status::Corruption(
-              "record src " + std::to_string(src) + " outside chunk range");
-          break;
-        }
-        const uint64_t idx = src - vw_range.begin;
-        if ((*claimed)[idx]) {
-          ++skipped;
-          continue;
-        }
-        const V& attr = vertex_window[idx];
-        if (app.pull_done && app.pull_done(attr)) {
-          ++skipped;
-          continue;
-        }
-        app.pull_scatter(*ctx, src, attr, reader.DstsAt(s), in_frontier);
-      }
-      if (!scan_status.ok()) break;
-    }
-    for (auto& ticket : tickets) {
-      Status s = ticket.Wait();
-      if (!s.ok() && (scan_status.ok() || scan_status.message() ==
-                                              "async page read failed")) {
-        scan_status = s;
-      }
-    }
-    if (skipped > 0) {
-      machine->metrics()->pull_records_skipped.Add(skipped);
-    }
-    return scan_status;
-  }
-
   // ---- full adjacency list mode scatter (k-walk enumeration) ----
 
   Status ScatterFull(int m, KWalkApp<V, U>& app,
@@ -1504,20 +1333,10 @@ class NwsmEngine {
     Machine* machine = cluster_->machine(m);
     MachineState& state = *states_[m];
     const VertexRange my_range = pg_->MachineRange(m);
-    const int q = pg_->q;
-
-    MemoryModelInput mm;
-    mm.k = app.k;
-    mm.p = pg_->p;
-    mm.num_vertices = pg_->num_vertices;
-    mm.vertex_attr_bytes = sizeof(V);
-    mm.page_size = kPageSize;
-    mm.total_budget_bytes = machine->WindowMemoryBytes();
-    const WindowSizes sizes = ComputeWindowSizes(mm, q);
-    const uint64_t adj_budget = sizes.adj_window_bytes;
+    const uint64_t adj_budget = AdjWindowBytes(m, app);
 
     std::vector<V> vertex_window;
-    for (int i = 0; i < q; ++i) {
+    for (int i = 0; i < pg_->q; ++i) {
       const VertexRange vr = pg_->VertexChunkRange(m, i);
       if (vr.size() == 0) continue;
       if (state.active.CountSetInRange(vr.begin - my_range.begin,
@@ -1534,17 +1353,8 @@ class NwsmEngine {
       state.active.ForEachSet(
           vr.begin - my_range.begin, vr.end - my_range.begin,
           [&](uint64_t bit) { pending.push_back(my_range.begin + bit); });
-      size_t pos = 0;
-      while (pos < pending.size()) {
-        uint64_t batch_bytes = 0;
-        size_t end = pos;
-        while (end < pending.size()) {
-          const uint64_t bytes =
-              (pg_->out_degree[pending[end]] + 2) * sizeof(VertexId);
-          if (end > pos && batch_bytes + bytes > adj_budget) break;
-          batch_bytes += bytes;
-          ++end;
-        }
+      for (size_t pos = 0, end = 0; pos < pending.size(); pos = end) {
+        end = NextBatchEnd(pending, pos, adj_budget, /*split_by_owner=*/false);
         AdjBatch batch;
         {
           obs::ScopedCpuCounter enum_cpu(
@@ -1559,7 +1369,6 @@ class NwsmEngine {
                                               batch, &batch_stack,
                                               &index_stack, &vr,
                                               &vertex_window, adj_budget));
-        pos = end;
       }
     }
     return Status::OK();
@@ -1581,44 +1390,21 @@ class NwsmEngine {
                           const std::vector<V>* vertex_window,
                           uint64_t adj_budget) {
     Machine* machine = cluster_->machine(m);
-    MachineState& state = *states_[m];
     batch_stack->push_back(&batch);
 
     const bool last_level = (level == app.k);
     ParentIndex next_parent_index;
     std::mutex mark_mu;
 
-    // Updates at the last level can target arbitrary vertices; each worker
-    // task uses its own fixed-capacity sparse LGB flushed to owners.
+    // Updates at the last level can target arbitrary vertices; each task
+    // uses its own fixed-capacity sparse LGB flushed to owners.
     auto flush_sparse = [&](const std::unordered_map<VertexId, U>& map) {
-      std::vector<std::vector<uint8_t>> per_owner(pg_->p);
-      std::vector<uint64_t> counts(pg_->p, 0);
-      for (const auto& [vid, val] : map) {
-        const int owner = pg_->OwnerOf(vid);
-        if (per_owner[owner].empty()) {
-          AppendPod<uint8_t>(&per_owner[owner], 0);
-          AppendPod<uint64_t>(&per_owner[owner], 0);  // patched below
-        }
-        AppendPod<VertexId>(&per_owner[owner], vid);
-        AppendPod<U>(&per_owner[owner], val);
-        ++counts[owner];
-      }
-      for (int dst = 0; dst < pg_->p; ++dst) {
-        if (per_owner[dst].empty()) continue;
-        std::memcpy(per_owner[dst].data() + 1, &counts[dst],
-                    sizeof(uint64_t));
-        machine->metrics()->updates_sent.Add(counts[dst]);
-        cluster_->fabric()->Send(m, dst, Tag(kTagUpdates),
-                                 std::move(per_owner[dst]));
-      }
+      ShipToOwners(m, map);
     };
 
     auto process_range = [&](size_t lo, size_t hi) {
       engine_internal::SparseLgb<U> lgb(/*capacity=*/4096, pg_->p);
-      ScatterContext<V, U> ctx;
-      ctx.level_ = level;
-      ctx.superstep_ = current_step_.load(std::memory_order_relaxed);
-      ctx.aggregate_ = &state.aggregate;
+      ScatterContext<V, U> ctx = MakeScatterContext(m, level);
       ctx.ancestor_batches_ = batch_stack;
       ctx.parent_indexes_ = index_stack;
       ctx.update_fn_ = [&](VertexId dst, const U& val) {
@@ -1653,28 +1439,15 @@ class NwsmEngine {
 
     if (last_level && level > 1 && batch.size() > 1) {
       // The computation level is the CPU-heavy one (set intersections);
-      // split it across the machine's worker threads.
-      const size_t n = batch.size();
-      const int tasks = std::min<int>(machine->workers()->num_threads(),
-                                      static_cast<int>(n));
-      // Decrement under done_mu only — see the matching comment in
-      // ScatterPartial (stack-scoped cv destruction race otherwise).
-      int remaining = tasks;
-      std::mutex done_mu;
-      std::condition_variable done_cv;
-      for (int t = 0; t < tasks; ++t) {
-        const size_t lo = n * t / tasks;
-        const size_t hi = n * (t + 1) / tasks;
-        machine->workers()->Submit([&, lo, hi] {
-          obs::ScopedCpuCounter cpu(&machine->metrics()->scatter_cpu_nanos);
-          ProcessFullRangeOnWorker(m, app, batch, batch_stack, index_stack,
-                                   level, lo, hi, flush_sparse);
-          std::lock_guard<std::mutex> lock(done_mu);
-          if (--remaining == 0) done_cv.notify_all();
-        });
-      }
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return remaining == 0; });
+      // split it across the machine's worker threads, one range each.
+      const int64_t n = static_cast<int64_t>(batch.size());
+      const int64_t threads = machine->workers()->num_threads();
+      ParallelFor(machine->workers(), 0, n, (n + threads - 1) / threads,
+                  [&](int64_t lo, int64_t hi) {
+                    obs::ScopedCpuCounter cpu(
+                        &machine->metrics()->scatter_cpu_nanos);
+                    process_range(lo, hi);
+                  });
     } else {
       process_range(0, batch.size());
     }
@@ -1699,64 +1472,113 @@ class NwsmEngine {
     }
     index_stack->push_back(&next_parent_index);
     Status recurse_status;
-    size_t pos = 0;
-    while (pos < marked.size() && recurse_status.ok()) {
-      const int owner = pg_->OwnerOf(marked[pos]);
-      uint64_t batch_bytes = 0;
-      size_t end = pos;
-      while (end < marked.size() && pg_->OwnerOf(marked[end]) == owner) {
-        const uint64_t bytes =
-            (pg_->out_degree[marked[end]] + 2) * sizeof(VertexId);
-        if (end > pos && batch_bytes + bytes > adj_budget) break;
-        batch_bytes += bytes;
-        ++end;
-      }
+    for (size_t pos = 0, end = 0; pos < marked.size() && recurse_status.ok();
+         pos = end) {
+      end = NextBatchEnd(marked, pos, adj_budget, /*split_by_owner=*/true);
       AdjBatch next_batch;
       recurse_status = adj_service->Fetch(
-          owner, std::span<const VertexId>(marked.data() + pos, end - pos),
+          pg_->OwnerOf(marked[pos]),
+          std::span<const VertexId>(marked.data() + pos, end - pos),
           &next_batch);
       if (recurse_status.ok()) {
         recurse_status = ProcessFullLevel(
             m, app, adj_service, level + 1, next_batch, batch_stack,
             index_stack, vw_range, vertex_window, adj_budget);
       }
-      pos = end;
     }
     index_stack->pop_back();
     batch_stack->pop_back();
     return recurse_status;
   }
 
-  // Worker-side body for the parallel last level (no marking, so no shared
-  // state beyond the flush path).
-  template <typename Flush>
-  void ProcessFullRangeOnWorker(
-      int m, KWalkApp<V, U>& app, const AdjBatch& batch,
-      const std::vector<const AdjBatch*>* batch_stack,
-      const std::vector<const ParentIndex*>* index_stack, int level,
-      size_t lo, size_t hi, const Flush& flush_sparse) {
-    Machine* machine = cluster_->machine(m);
-    MachineState& state = *states_[m];
-    engine_internal::SparseLgb<U> lgb(/*capacity=*/4096, pg_->p);
+  // ---- scatter building blocks shared by the paths above ----
+
+  // Theorem 4.1's inputs for this query under machine m's window budget.
+  MemoryModelInput ModelInput(int m, const KWalkApp<V, U>& app) const {
+    return {.k = app.k,
+            .p = pg_->p,
+            .num_vertices = pg_->num_vertices,
+            .vertex_attr_bytes = sizeof(V),
+            .page_size = kPageSize,
+            .total_budget_bytes = cluster_->machine(m)->WindowMemoryBytes()};
+  }
+
+  // Equation 3's adjacency-window budget: how many bytes of materialized
+  // full lists one batch may hold.
+  uint64_t AdjWindowBytes(int m, const KWalkApp<V, U>& app) const {
+    return ComputeWindowSizes(ModelInput(m, app), pg_->q).adj_window_bytes;
+  }
+
+  // A level-`level` scatter context on machine m whose Mark() is a no-op;
+  // callers install update_fn_ (and mark_fn_ where marking matters).
+  ScatterContext<V, U> MakeScatterContext(int m, int level) const {
     ScatterContext<V, U> ctx;
     ctx.level_ = level;
     ctx.superstep_ = current_step_.load(std::memory_order_relaxed);
-    ctx.aggregate_ = &state.aggregate;
-    ctx.ancestor_batches_ = batch_stack;
-    ctx.parent_indexes_ = index_stack;
-    ctx.update_fn_ = [&](VertexId dst, const U& val) {
-      machine->metrics()->updates_generated.Add(1);
-      lgb.Accumulate(dst, val, app.vertex_gather, flush_sparse);
-    };
-    ctx.mark_fn_ = [](VertexId) {
-      TGPP_CHECK(false) << "Mark() is not valid at the last level";
-    };
-    for (size_t idx = lo; idx < hi; ++idx) {
-      V attr{};
-      app.adj_scatter[level](ctx, batch.vids[idx], attr,
-                             batch.Neighbors(idx));
+    ctx.aggregate_ = &states_[m]->aggregate;
+    ctx.mark_fn_ = [](VertexId) {};
+    return ctx;
+  }
+
+  // The edge sub-chunks of machine m's vertex window i, ordered
+  // (destination chunk j, sub-chunk): part.chunks is laid out (i, j, sub),
+  // so destination chunk j's r sub-chunks start at j * r.
+  std::span<const EdgeChunkInfo> WindowChunks(int m, int i) const {
+    const size_t per_window = static_cast<size_t>(pg_->p) * pg_->q * pg_->r;
+    return std::span<const EdgeChunkInfo>(pg_->machines[m].chunks)
+        .subspan(i * per_window, per_window);
+  }
+
+  static uint64_t EdgesIn(std::span<const EdgeChunkInfo> chunks) {
+    uint64_t edges = 0;
+    for (const EdgeChunkInfo& chunk : chunks) edges += chunk.num_edges;
+    return edges;
+  }
+
+  // End of the batch that starts at vids[pos]: as many vertices as fit
+  // the adjacency-window budget (always at least one). With
+  // split_by_owner the batch also ends where the owner machine changes,
+  // so it can be fetched from a single machine.
+  size_t NextBatchEnd(const std::vector<VertexId>& vids, size_t pos,
+                      uint64_t budget, bool split_by_owner) const {
+    const int owner = split_by_owner ? pg_->OwnerOf(vids[pos]) : -1;
+    uint64_t batch_bytes = 0;
+    size_t end = pos;
+    while (end < vids.size()) {
+      if (split_by_owner && pg_->OwnerOf(vids[end]) != owner) break;
+      const uint64_t bytes =
+          (pg_->out_degree[vids[end]] + 2) * sizeof(VertexId);
+      if (end > pos && batch_bytes + bytes > budget) break;
+      batch_bytes += bytes;
+      ++end;
     }
-    lgb.FlushAll(flush_sparse);
+    return end;
+  }
+
+  // Ships (vid, update) pairs to their owner machines: one payload per
+  // owner, entries in iteration order, in the wire format of
+  // DenseLgb::Serialize.
+  template <typename Pairs>
+  void ShipToOwners(int m, const Pairs& updates) {
+    std::vector<std::vector<uint8_t>> per_owner(pg_->p);
+    std::vector<uint64_t> counts(pg_->p, 0);
+    for (const auto& [vid, val] : updates) {
+      const int owner = pg_->OwnerOf(vid);
+      if (per_owner[owner].empty()) {
+        AppendPod<uint8_t>(&per_owner[owner], 0);   // kind: data
+        AppendPod<uint64_t>(&per_owner[owner], 0);  // patched below
+      }
+      AppendPod<VertexId>(&per_owner[owner], vid);
+      AppendPod<U>(&per_owner[owner], val);
+      ++counts[owner];
+    }
+    for (int dst = 0; dst < pg_->p; ++dst) {
+      if (per_owner[dst].empty()) continue;
+      std::memcpy(per_owner[dst].data() + 1, &counts[dst], sizeof(uint64_t));
+      cluster_->machine(m)->metrics()->updates_sent.Add(counts[dst]);
+      cluster_->fabric()->Send(m, dst, Tag(kTagUpdates),
+                               std::move(per_owner[dst]));
+    }
   }
 
   // ---- global gather task (Algorithm 2) ----
@@ -2213,8 +2035,8 @@ class NwsmEngine {
   // read it): routes JobBarrier through the failable fabric barrier.
   bool detection_enabled_ = false;
 
-  // Scratch for the serial full-mode context (one orchestrator per
-  // machine; see process_range).
+  // The source vertex process_range is scattering, for its Mark();
+  // thread_local because process_range also runs on worker threads.
   thread_local static VertexId ctx_current_;
 };
 

@@ -84,7 +84,7 @@ Result<PartitionedGraph> PartitionGraph(Cluster* cluster,
       graph, degrees, p, options.scheme, options.seed);
 
   // Step 2: renumbering into consecutive per-machine ranges (BBP also
-  // orders by descending degree within a machine).
+  // orders by ascending degree within a machine).
   std::vector<VertexRange> machine_ranges;
   partition_internal::Renumber(assignment, degrees, p, options.scheme,
                                &pg.old_to_new, &pg.new_to_old,

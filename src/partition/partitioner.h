@@ -7,8 +7,9 @@
 //
 // Schemes:
 //   kBbp        — balanced buffer-aware partitioning: degree-sorted
-//                 round-robin placement, degree-descending renumbering
-//                 within each machine (the paper's contribution).
+//                 round-robin placement, degree-ascending renumbering
+//                 within each machine (the paper's contribution; the
+//                 paper renumbers descending, see partitioner.cc).
 //   kRandom     — uniform random vertex placement (Fig 8(b) baseline).
 //   kHashPregel — hash placement as in Pregel+ (Fig 8(b) baseline).
 //   kHashGraphx — hash placement with GraphX's mixing (Fig 8(b) baseline).

@@ -105,12 +105,16 @@ void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end, int64_t grain,
   if (begin >= end) return;
   grain = std::max<int64_t>(grain, 1);
   const int64_t n = end - begin;
-  const int64_t num_chunks =
+  const int64_t max_chunks =
       std::min<int64_t>((n + grain - 1) / grain,
                         std::max(1, pool->num_threads() * 4));
-  const int64_t chunk = (n + num_chunks - 1) / num_chunks;
+  const int64_t chunk = (n + max_chunks - 1) / max_chunks;
+  const int64_t num_chunks = (n + chunk - 1) / chunk;  // none empty
 
-  std::atomic<int64_t> remaining{num_chunks};
+  // `remaining` changes only under `mu`: the waiter returns (destroying
+  // mu and cv) as soon as it sees zero, so a worker must not decrement
+  // outside the lock and notify afterwards.
+  int64_t remaining = num_chunks;
   std::mutex mu;
   std::condition_variable cv;
 
@@ -119,14 +123,12 @@ void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end, int64_t grain,
     const int64_t hi = std::min(end, lo + chunk);
     pool->Submit([&, lo, hi] {
       fn(lo, hi);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
+  cv.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace tgpp

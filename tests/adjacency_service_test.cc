@@ -9,6 +9,7 @@
 #include "graph/csr.h"
 #include "graph/rmat.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -18,8 +19,7 @@ class AdjacencyServiceTest : public ::testing::Test {
   void SetUp() override {
     ClusterConfig config;
     config.num_machines = 3;
-    config.root_dir =
-        (std::filesystem::temp_directory_path() / "tgpp_adj").string();
+    config.root_dir = ScratchPath("adj");
     std::filesystem::remove_all(config.root_dir);
     cluster_ = std::make_unique<Cluster>(config);
 

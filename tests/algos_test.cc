@@ -15,6 +15,7 @@
 #include "algos/wcc.h"
 #include "core/system.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -56,9 +57,7 @@ std::unique_ptr<TurboGraphSystem> MakeSystem(const std::string& name,
   ClusterConfig config;
   config.num_machines = machines;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_algos" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   auto system = std::make_unique<TurboGraphSystem>(config);
   TGPP_CHECK_OK(system->LoadGraph(graph));

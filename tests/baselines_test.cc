@@ -13,14 +13,13 @@
 #include "algos/reference.h"
 #include "baselines/baseline.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
 
 std::string TestDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tgpp_baseline" / name)
-          .string();
+  const std::string dir = ScratchPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -55,6 +54,10 @@ struct BaselineCase {
   bool supports_sssp;
   bool supports_tc;
 };
+
+// gtest prints the parameter into each test's listed name; without this
+// it dumps the struct's bytes, pointers included, which change per build.
+void PrintTo(const BaselineCase& bc, std::ostream* os) { *os << bc.label; }
 
 class BaselineCorrectness : public ::testing::TestWithParam<BaselineCase> {
 };

@@ -19,17 +19,13 @@
 #include "storage/disk_device.h"
 #include "storage/page_file.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
 
 std::string TestDir(const std::string& name) {
-  // Per-process root: overlapping runs of this binary (e.g. a plain and a
-  // sanitizer CI stage racing) must not share — and remove_all — scratch.
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           ("tgpp_pool_mt." + std::to_string(::getpid())) /
-                           name)
-                              .string();
+  const std::string dir = ScratchPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

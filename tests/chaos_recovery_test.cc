@@ -17,6 +17,7 @@
 #include "core/system.h"
 #include "graph/rmat.h"
 #include "service/job_manager.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -26,9 +27,7 @@ ClusterConfig ChaosCluster(const std::string& name) {
   config.num_machines = 4;
   config.memory_budget_bytes = 32ull << 20;  // roomy: keep q=1
   config.buffer_pool_frames = 4;  // small pool: supersteps re-read pages
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_chaos" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

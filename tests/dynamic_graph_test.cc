@@ -29,6 +29,7 @@
 #include "storage/disk_device.h"
 #include "storage/slotted_page.h"
 #include "util/crc32.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -37,8 +38,7 @@ ClusterConfig DynCluster(const std::string& name, int machines = 4) {
   ClusterConfig config;
   config.num_machines = machines;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_dyn" / name).string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }
@@ -137,8 +137,7 @@ TEST_F(DynamicGraphTest, MutatorKeepsPageInvariants) {
 }
 
 TEST_F(DynamicGraphTest, WalRoundTripAndTornTail) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tgpp_dyn" / "wal").string();
+  const std::string dir = ScratchPath("wal");
   std::filesystem::remove_all(dir);
   DiskDevice disk(dir, kPcieSsdProfile);
   dyn::Wal wal(&disk);

@@ -15,6 +15,7 @@
 #include "algos/wcc.h"
 #include "core/system.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -46,9 +47,7 @@ class EngineProperty : public ::testing::TestWithParam<Shape> {
     config.threads_per_machine = 2;
     config.memory_budget_bytes = 32ull << 20;
     config.buffer_pool_frames = 24;
-    config.root_dir = (std::filesystem::temp_directory_path() /
-                       "tgpp_prop" / (name + ShapeName({GetParam(), 0})))
-                          .string();
+    config.root_dir = ScratchPath(name);
     std::filesystem::remove_all(config.root_dir);
     auto system = std::make_unique<TurboGraphSystem>(config);
     TGPP_CHECK_OK(system->LoadGraph(graph, shape.scheme, shape.q));
@@ -131,8 +130,7 @@ TEST(EngineOptionsProperty, AblationsPreserveResults) {
   EdgeList graph = GenerateRmatX(12, 321);
   ClusterConfig config;
   config.num_machines = 3;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_prop_opts").string();
+  config.root_dir = ScratchPath("opts");
   std::filesystem::remove_all(config.root_dir);
   TurboGraphSystem system(config);
   ASSERT_TRUE(system.LoadGraph(graph).ok());

@@ -15,14 +15,13 @@
 #include "algos/wcc.h"
 #include "core/system.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
 
 std::string TestDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tgpp_test" / name)
-          .string();
+  const std::string dir = ScratchPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

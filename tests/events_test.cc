@@ -36,6 +36,7 @@
 #include "service/job_manager.h"
 #include "service/server.h"
 #include "service/wire.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -124,9 +125,7 @@ TEST_F(EventsTest, ChaosRunEventsCarryJobId) {
   ClusterConfig config;
   config.num_machines = 4;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir = (std::filesystem::temp_directory_path() /
-                     "tgpp_events_chaos")
-                        .string();
+  config.root_dir = ScratchPath("chaos");
   std::filesystem::remove_all(config.root_dir);
   TurboGraphSystem system(config);
   ASSERT_TRUE(system.LoadGraph(graph).ok());
@@ -188,9 +187,7 @@ TEST_F(EventsTest, ChaosRunEventsCarryJobId) {
 // --- Concurrency + the JSONL sink ---
 
 TEST_F(EventsTest, ConcurrentEmittersProduceWellFormedJsonl) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tgpp_events_test.jsonl")
-          .string();
+  const std::string path = ScratchPath("events.jsonl");
   std::filesystem::remove(path);
 
   constexpr int kThreads = 4;
@@ -286,9 +283,7 @@ TEST_F(EventsTest, HttpIntrospectionEndpoints) {
   ClusterConfig config;
   config.num_machines = 2;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_events_http")
-          .string();
+  config.root_dir = ScratchPath("http");
   std::filesystem::remove_all(config.root_dir);
   TurboGraphSystem system(config);
   ASSERT_TRUE(system.LoadGraph(graph).ok());

@@ -13,6 +13,7 @@
 #include "common/fault_injector.h"
 #include "net/fabric.h"
 #include "util/trace.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -337,9 +338,7 @@ ClusterConfig TestCluster(const std::string& name, int p = 3) {
   ClusterConfig config;
   config.num_machines = p;
   config.threads_per_machine = 2;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_cluster" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

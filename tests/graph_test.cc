@@ -13,6 +13,7 @@
 #include "graph/edge_list.h"
 #include "graph/rmat.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -51,8 +52,7 @@ TEST(Rmat, IsSkewed) {
 
 TEST(EdgeList, SaveLoadRoundtrip) {
   const EdgeList g = GenerateRmatX(10, 4);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tgpp_el.bin").string();
+  const std::string path = ScratchPath("el.bin");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
   auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.ok());
@@ -62,8 +62,7 @@ TEST(EdgeList, SaveLoadRoundtrip) {
 }
 
 TEST(EdgeList, LoadRejectsTruncatedFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tgpp_trunc.bin").string();
+  const std::string path = ScratchPath("trunc.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fwrite("xx", 2, 1, f);
   std::fclose(f);

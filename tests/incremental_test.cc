@@ -25,6 +25,7 @@
 #include "dyn/incremental.h"
 #include "graph/edge_list.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -33,8 +34,7 @@ ClusterConfig IncCluster(const std::string& name) {
   ClusterConfig config;
   config.num_machines = 4;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_inc" / name).string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

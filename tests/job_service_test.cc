@@ -17,6 +17,7 @@
 #include "service/job_manager.h"
 #include "service/wire.h"
 #include "util/crc32.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -32,9 +33,7 @@ ClusterConfig ServiceCluster(const std::string& name) {
   config.num_machines = 2;
   config.memory_budget_bytes = 32ull << 20;
   config.buffer_pool_frames = 16;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_jobsvc" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

@@ -19,6 +19,7 @@
 #include "algos/wcc.h"
 #include "core/system.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -69,9 +70,7 @@ std::unique_ptr<TurboGraphSystem> MakeSystem(const std::string& name,
   ClusterConfig config;
   config.num_machines = machines;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_kernels_dir" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   auto system = std::make_unique<TurboGraphSystem>(config);
   TGPP_CHECK_OK(system->LoadGraph(graph));

@@ -29,6 +29,7 @@
 #include "graph/rmat.h"
 #include "service/job_manager.h"
 #include "util/crc32.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -37,12 +38,7 @@ ClusterConfig KillCluster(const std::string& name, int p) {
   ClusterConfig config;
   config.num_machines = p;
   config.memory_budget_bytes = 32ull << 20;  // roomy: keep q=1
-  // Per-process root: overlapping runs of this binary (e.g. a plain and a
-  // sanitizer CI stage racing) must not share — and remove_all — scratch.
-  config.root_dir = (std::filesystem::temp_directory_path() /
-                     ("tgpp_machine_failure." + std::to_string(::getpid())) /
-                     name)
-                        .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

@@ -18,6 +18,7 @@
 #include "net/fabric.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -227,9 +228,7 @@ TEST(Export, WritePrometheusFileIsAtomic) {
   auto reg = registry.Register("file.counter", 0, &c);
   ASSERT_TRUE(reg.ok());
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tgpp_metrics_test.prom")
-          .string();
+  const std::string path = ScratchPath("metrics.prom");
   std::filesystem::remove(path);
   ASSERT_TRUE(obs::WritePrometheusFile(registry, path).ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
@@ -301,9 +300,7 @@ ClusterConfig SmallCluster(const std::string& name) {
   ClusterConfig config;
   config.num_machines = 2;
   config.memory_budget_bytes = 32ull << 20;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_metrics" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

@@ -21,6 +21,7 @@
 #include "partition/partitioner.h"
 #include "storage/page_file.h"
 #include "storage/slotted_page.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -47,9 +48,7 @@ class PartitionProperty : public ::testing::TestWithParam<Case> {
     ClusterConfig config;
     config.num_machines = c.machines;
     config.numa_nodes_per_machine = 2;
-    config.root_dir = (std::filesystem::temp_directory_path() /
-                       "tgpp_partition" / CaseName({GetParam(), 0}))
-                          .string();
+    config.root_dir = ScratchPath("partition");
     std::filesystem::remove_all(config.root_dir);
     cluster_ = std::make_unique<Cluster>(config);
     graph_ = GenerateRmatX(13, 77);
@@ -200,8 +199,7 @@ class BbpSpecific : public ::testing::Test {
   void SetUp() override {
     ClusterConfig config;
     config.num_machines = 4;
-    config.root_dir =
-        (std::filesystem::temp_directory_path() / "tgpp_bbp").string();
+    config.root_dir = ScratchPath("bbp");
     std::filesystem::remove_all(config.root_dir);
     cluster_ = std::make_unique<Cluster>(config);
     graph_ = GenerateRmatX(14, 99);
@@ -259,8 +257,7 @@ TEST_F(BbpSpecific, NearOptimalBalanceOnExtremeSkew) {
 
   ClusterConfig config;
   config.num_machines = 4;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_bbp_skew").string();
+  config.root_dir = ScratchPath("bbp_skew");
   std::filesystem::remove_all(config.root_dir);
   Cluster cluster(config);
 
@@ -280,8 +277,7 @@ TEST_F(BbpSpecific, NearOptimalBalanceOnExtremeSkew) {
 TEST(PartitionErrors, RejectsNonPositiveQ) {
   ClusterConfig config;
   config.num_machines = 2;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_badq").string();
+  config.root_dir = ScratchPath("badq");
   std::filesystem::remove_all(config.root_dir);
   Cluster cluster(config);
   PartitionOptions options;

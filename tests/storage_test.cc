@@ -21,17 +21,13 @@
 #include "storage/slotted_page.h"
 #include "graph/types.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
 
 std::string TestDir(const std::string& name) {
-  // Per-process root: overlapping runs of this binary (e.g. a plain and a
-  // sanitizer CI stage racing) must not share — and remove_all — scratch.
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           ("tgpp_storage." + std::to_string(::getpid())) /
-                           name)
-                              .string();
+  const std::string dir = ScratchPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

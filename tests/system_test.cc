@@ -12,6 +12,7 @@
 #include "algos/triangle_counting.h"
 #include "core/system.h"
 #include "graph/rmat.h"
+#include "test_scratch.h"
 
 namespace tgpp {
 namespace {
@@ -23,9 +24,7 @@ ClusterConfig SystemCluster(const std::string& name,
   config.num_machines = 2;
   config.memory_budget_bytes = budget;
   config.buffer_pool_frames = frames;
-  config.root_dir =
-      (std::filesystem::temp_directory_path() / "tgpp_system" / name)
-          .string();
+  config.root_dir = ScratchPath(name);
   std::filesystem::remove_all(config.root_dir);
   return config;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -119,6 +120,35 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
     for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForNeverPassesAnEmptyChunk) {
+  // 5 items over at most 4 chunks rounds up to chunks of 2, so only 3
+  // chunks are needed; a 4th would start past the end.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> calls;
+  ParallelFor(&pool, 0, 5, 1, [&](int64_t lo, int64_t hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    calls.emplace_back(lo, hi);
+  });
+  for (const auto& [lo, hi] : calls) EXPECT_LT(lo, hi);
+  EXPECT_EQ(calls.size(), 3u);
+}
+
+// Many short calls back to back: each call's mutex and condition
+// variable live on its stack frame, so a worker that still touches them
+// after the caller has returned shows up here (under TSan, or as a
+// crash).
+TEST(ThreadPool, ParallelForBackToBackCalls) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 2000; ++round) {
+    std::atomic<int64_t> sum{0};
+    ParallelFor(&pool, 0, 8, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) sum.fetch_add(i);
+    });
+    ASSERT_EQ(sum.load(), 28) << "round " << round;
+  }
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
