@@ -24,11 +24,14 @@ int main(int argc, char** argv) {
     EngineOptions options;
     int numa_nodes;
   };
+  EngineOptions no_local_gather;
+  no_local_gather.in_memory_local_gather = false;
+  EngineOptions no_read_ahead;
+  no_read_ahead.read_ahead_pages = 1;
   const std::vector<Variant> variants = {
       {"full 3-LPO (default)", {}, 2},
-      {"no local gather", {.in_memory_local_gather = false}, 2},
-      {"no read-ahead", {.in_memory_local_gather = true,
-                         .read_ahead_pages = 1}, 2},
+      {"no local gather", no_local_gather, 2},
+      {"no read-ahead", no_read_ahead, 2},
       {"r=1 (no NUMA sub-chunks)", {}, 1},
   };
 

@@ -424,7 +424,6 @@ BaselineResult VertexCentricSystem::RunTriangleCount() {
 
   Status status = cluster_->RunOnAll([&](int m) -> Status {
     Machine* machine = cluster_->machine(m);
-    MachineGraph& mg = machines_[m];
     ChargeTracker charges(machine->budget());
     Status local_fail;
 

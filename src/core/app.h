@@ -11,7 +11,10 @@
 //                    marks vertices of interest for level l+1 via
 //                    ScatterContext::Mark; for l == k it performs the
 //                    computation, emitting updates and/or aggregating.
-//   vertex_gather  — the update combiner (associative, commutative).
+//   vertex_gather  — the update combiner (associative, commutative). A
+//                    plain function pointer, so it must be a captureless
+//                    function (a captureless lambda converts): the engine
+//                    calls it once per edge from the scatter loop.
 //   vertex_apply   — recomputes the attribute from the gathered update;
 //                    returns whether the vertex is active next superstep.
 //
@@ -65,7 +68,28 @@ class ScatterContext {
   int superstep() const { return superstep_; }
 
   // Emits an update to `dst` (combined en route by LGB/GGB).
-  void Update(VertexId dst, const U& value) { update_fn_(dst, value); }
+  void Update(VertexId dst, const U& value) {
+    ++generated_;
+    if (sink_values_ == nullptr) {
+      update_fn_(dst, value);
+      return;
+    }
+    // Dense sink: combine straight into the LGB. A destination outside
+    // the sink's range (a corrupt edge page, or a pull_scatter updating
+    // another vertex) is dropped and counted; the engine turns the count
+    // into a Status.
+    const uint64_t idx = dst - sink_base_;
+    if (idx >= sink_size_) {
+      ++dropped_;
+      return;
+    }
+    if (sink_present_[idx]) {
+      sink_combine_(sink_values_[idx], value);
+    } else {
+      sink_values_[idx] = value;
+      sink_present_[idx] = 1;
+    }
+  }
 
   // Marks `v` into voi[level+1] (only meaningful when level < k).
   void Mark(VertexId v) { mark_fn_(v); }
@@ -125,7 +149,22 @@ class ScatterContext {
 
   int level_ = 1;
   int superstep_ = 0;
+  // Where Update() goes when no dense sink is set (the raw-update
+  // ablation, the sparse-window path, full-list mode).
   std::function<void(VertexId, const U&)> update_fn_;
+  // Dense sink: the LGB's values and present flags over
+  // [sink_base_, sink_base_ + sink_size_), and the app's combiner. Set by
+  // the engine on the dense push and pull paths.
+  U* sink_values_ = nullptr;
+  uint8_t* sink_present_ = nullptr;
+  VertexId sink_base_ = 0;
+  uint64_t sink_size_ = 0;
+  void (*sink_combine_)(U&, const U&) = nullptr;
+  // Update() calls, and the dense-sink updates dropped as out of range.
+  // The engine adds generated_ to engine.updates_generated once per unit
+  // of work instead of once per edge.
+  uint64_t generated_ = 0;
+  uint64_t dropped_ = 0;
   std::function<void(VertexId)> mark_fn_;
   std::atomic<uint64_t>* aggregate_ = nullptr;
   // Stack of ancestor windows: element i is the level-(i+1) AdjBatch.
@@ -160,8 +199,9 @@ struct KWalkApp {
 
   ScatterFn adj_scatter[kMaxWalkLength + 1];  // index by level, 1-based
 
-  // Combiner: fold `incoming` into `accumulated`.
-  std::function<void(U&, const U&)> vertex_gather;
+  // Combiner: fold `incoming` into `accumulated`. Must be captureless
+  // (see the header comment).
+  void (*vertex_gather)(U&, const U&) = nullptr;
 
   // `update` is null when the vertex received no updates this superstep.
   // Returns true if the vertex is active in the next superstep.
@@ -178,7 +218,8 @@ struct KWalkApp {
   // for frontier members (`in_frontier(v)`) and typically early-exits
   // after the first hit. Contract: may only Update() `u` itself — the
   // engine claims `u` after its first update and skips its remaining
-  // records this superstep.
+  // records this superstep. An update outside `u`'s vertex window fails
+  // the query with Status::Internal.
   std::function<void(ScatterContext<V, U>&, VertexId, const V&,
                      std::span<const VertexId>,
                      const std::function<bool(VertexId)>&)>

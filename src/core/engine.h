@@ -107,9 +107,7 @@ class DenseLgb {
   std::vector<uint8_t> Serialize() const {
     std::vector<uint8_t> payload;
     AppendPod<uint8_t>(&payload, 0);  // kind: data
-    uint64_t count = 0;
-    for (uint8_t p : present_) count += p;
-    AppendPod<uint64_t>(&payload, count);
+    AppendPod<uint64_t>(&payload, present_count());
     for (uint64_t i = 0; i < present_.size(); ++i) {
       if (!present_[i]) continue;
       AppendPod<VertexId>(&payload, range_.begin + i);
@@ -124,13 +122,11 @@ class DenseLgb {
     return count;
   }
 
-  // Read access for the apply phase (values/flags indexed by
-  // vid - range().begin).
-  void ExposeForApply(const std::vector<U>** values,
-                      const std::vector<uint8_t>** present) const {
-    *values = &values_;
-    *present = &present_;
-  }
+  // Values and present flags, indexed by vid - range().begin: the
+  // scatter context's dense sink writes through these, the apply phase
+  // reads them.
+  U* values() { return values_.data(); }
+  uint8_t* present() { return present_.data(); }
 
  private:
   VertexRange range_;
@@ -1011,6 +1007,7 @@ class NwsmEngine {
     Machine* machine = cluster_->machine(m);
     MachineState& state = *states_[m];
     const VertexId active_base = pg_->MachineRange(m).begin;
+    const VertexRange dst_range = lgb->range();
 
     ScatterContext<V, U> ctx = MakeScatterContext(m, /*level=*/1);
     // Ablation path: with local gather disabled, updates bypass the LGB
@@ -1018,26 +1015,41 @@ class NwsmEngine {
     std::vector<uint8_t> raw_updates;
     uint64_t raw_count = 0;
     if (options_.in_memory_local_gather) {
-      ctx.update_fn_ = [&](VertexId dst, const U& val) {
-        machine->metrics()->updates_generated.Add(1);
-        lgb->Accumulate(dst, val, app.vertex_gather);
-      };
+      AttachDenseSink(app, lgb, &ctx);
     } else {
       ctx.update_fn_ = [&](VertexId dst, const U& val) {
-        machine->metrics()->updates_generated.Add(1);
+        if (!dst_range.Contains(dst)) {
+          ++ctx.dropped_;
+          return;
+        }
         AppendPod<VertexId>(&raw_updates, dst);
         AppendPod<U>(&raw_updates, val);
         ++raw_count;
       };
     }
 
-    TGPP_RETURN_IF_ERROR(ForEachChunkRecord(
+    const Status scan_status = ForEachChunkRecord(
         m, file, chunk, vw_range, /*in_page_order=*/options_.deterministic,
         [&](VertexId src, std::span<const VertexId> dsts) {
           if (!state.active.Test(src - active_base)) return;
           app.adj_scatter[1](ctx, src, vertex_window[src - vw_range.begin],
                              dsts);
-        }));
+        });
+    machine->metrics()->updates_generated.Add(ctx.generated_);
+    TGPP_RETURN_IF_ERROR(scan_status);
+    // Edge pages are on-disk bytes: a destination outside the chunk's
+    // range was dropped above rather than written out of bounds.
+    if (ctx.dropped_ > 0) {
+      return Status::Corruption(
+          "machine " + std::to_string(m) + " edge chunk (" +
+          std::to_string(chunk.src_chunk) + ", " +
+          std::to_string(chunk.dst_chunk) + ", " +
+          std::to_string(chunk.sub_chunk) + "): " +
+          std::to_string(ctx.dropped_) +
+          " record destinations outside destination range [" +
+          std::to_string(dst_range.begin) + ", " +
+          std::to_string(dst_range.end) + ")");
+    }
     if (raw_count > 0) {
       std::vector<uint8_t> payload;
       AppendPod<uint8_t>(&payload, 0);  // kind: data
@@ -1190,7 +1202,6 @@ class NwsmEngine {
     std::unordered_map<VertexId, size_t> slot_of;
     ScatterContext<V, U> ctx = MakeScatterContext(m, /*level=*/1);
     ctx.update_fn_ = [&](VertexId dst, const U& val) {
-      machine->metrics()->updates_generated.Add(1);
       auto [it, inserted] = slot_of.try_emplace(dst, acc.size());
       if (inserted) {
         acc.emplace_back(dst, val);
@@ -1199,18 +1210,22 @@ class NwsmEngine {
       }
     };
 
-    for (size_t pos = 0, end = 0; pos < pending.size(); pos = end) {
+    Status status;
+    for (size_t pos = 0, end = 0; pos < pending.size() && status.ok();
+         pos = end) {
       end = NextBatchEnd(pending, pos, adj_budget, /*split_by_owner=*/false);
       AdjBatch batch;
-      TGPP_RETURN_IF_ERROR(adj_service->MaterializeLocal(
+      status = adj_service->MaterializeLocal(
           std::span<const VertexId>(pending.data() + pos, end - pos),
-          &batch));
-      for (size_t idx = 0; idx < batch.size(); ++idx) {
+          &batch);
+      for (size_t idx = 0; status.ok() && idx < batch.size(); ++idx) {
         const VertexId vid = batch.vids[idx];
         app.adj_scatter[1](ctx, vid, vertex_window[vid - vr.begin],
                            batch.Neighbors(idx));
       }
     }
+    machine->metrics()->updates_generated.Add(ctx.generated_);
+    TGPP_RETURN_IF_ERROR(status);
     ShipToOwners(m, acc);
     return Status::OK();
   }
@@ -1273,7 +1288,6 @@ class NwsmEngine {
         PageFile::Open(machine->disk(), PartitionedGraph::kEdgeFileName));
 
     std::vector<V> vertex_window;
-    std::vector<uint8_t> claimed;
     for (int i = 0; i < q; ++i) {
       const VertexRange vr = pg_->VertexChunkRange(m, i);
       if (vr.size() == 0) continue;
@@ -1282,17 +1296,13 @@ class NwsmEngine {
       window_span.AddArg("mode", static_cast<uint64_t>(2));
       TGPP_RETURN_IF_ERROR(ReadAttrRange(m, vr, &vertex_window));
 
+      // The LGB spans the window, and its present flags are the claims:
+      // a vertex that has updated itself is present.
       engine_internal::DenseLgb<U> lgb;
       lgb.Reset(vr);
-      claimed.assign(vr.size(), 0);
+      const uint8_t* claimed = lgb.present();
       ScatterContext<V, U> ctx = MakeScatterContext(m, /*level=*/1);
-      ctx.update_fn_ = [&](VertexId dst, const U& val) {
-        TGPP_CHECK(vr.Contains(dst))
-            << "pull_scatter may only update its own source vertex";
-        machine->metrics()->updates_generated.Add(1);
-        lgb.Accumulate(dst, val, app.vertex_gather);
-        claimed[dst - vr.begin] = 1;
-      };
+      AttachDenseSink(app, &lgb, &ctx);
 
       uint64_t skipped = 0;
       Status scan_status;
@@ -1310,10 +1320,18 @@ class NwsmEngine {
             });
         if (!scan_status.ok()) break;
       }
+      machine->metrics()->updates_generated.Add(ctx.generated_);
       if (skipped > 0) {
         machine->metrics()->pull_records_skipped.Add(skipped);
       }
       TGPP_RETURN_IF_ERROR(scan_status);
+      if (ctx.dropped_ > 0) {
+        return Status::Internal(
+            "pull_scatter may only update its own source vertex: " +
+            std::to_string(ctx.dropped_) + " updates outside window [" +
+            std::to_string(vr.begin) + ", " + std::to_string(vr.end) +
+            ") on machine " + std::to_string(m));
+      }
 
       const uint64_t combined = lgb.present_count();
       if (combined > 0) {
@@ -1408,7 +1426,6 @@ class NwsmEngine {
       ctx.ancestor_batches_ = batch_stack;
       ctx.parent_indexes_ = index_stack;
       ctx.update_fn_ = [&](VertexId dst, const U& val) {
-        machine->metrics()->updates_generated.Add(1);
         lgb.Accumulate(dst, val, app.vertex_gather, flush_sparse);
       };
       ctx.mark_fn_ = [&](VertexId v) {
@@ -1434,6 +1451,7 @@ class NwsmEngine {
         }
         app.adj_scatter[level](ctx, vid, attr, batch.Neighbors(idx));
       }
+      machine->metrics()->updates_generated.Add(ctx.generated_);
       lgb.FlushAll(flush_sparse);
     };
 
@@ -1518,6 +1536,20 @@ class NwsmEngine {
     ctx.aggregate_ = &states_[m]->aggregate;
     ctx.mark_fn_ = [](VertexId) {};
     return ctx;
+  }
+
+  // Points ctx's Update() straight at `lgb` (the in-memory local gather
+  // of paper §4.1 without a call per edge): updates inside lgb's range
+  // combine in place with app.vertex_gather, others are dropped and
+  // counted in ctx->dropped_.
+  static void AttachDenseSink(const KWalkApp<V, U>& app,
+                              engine_internal::DenseLgb<U>* lgb,
+                              ScatterContext<V, U>* ctx) {
+    ctx->sink_values_ = lgb->values();
+    ctx->sink_present_ = lgb->present();
+    ctx->sink_base_ = lgb->range().begin;
+    ctx->sink_size_ = lgb->range().size();
+    ctx->sink_combine_ = app.vertex_gather;
   }
 
   // The edge sub-chunks of machine m's vertex window i, ordered
@@ -1751,28 +1783,33 @@ class NwsmEngine {
     };
 
     // Accumulates one data message into GGB / spill buffers. Returns the
-    // first spill-flush error.
+    // first spill-flush error. The counters are added once per message.
     auto consume = [&](const Message& msg) -> Status {
       PodReader reader(msg.payload);
       reader.Read<uint8_t>();  // kind: data (checked by the caller)
       const uint64_t count = reader.Read<uint64_t>();
-      for (uint64_t i = 0; i < count; ++i) {
+      uint64_t gathered = 0;
+      uint64_t spilled = 0;
+      Status status;
+      for (uint64_t i = 0; i < count && status.ok(); ++i) {
         const VertexId vid = reader.Read<VertexId>();
         const U val = reader.Read<U>();
         const int c = ChunkOfLocal(m, vid);
         if (c == 0) {
           grt->ggb.Accumulate(vid, val, app.vertex_gather);
-          machine->metrics()->updates_local_gathered.Add(1);
+          ++gathered;
         } else {
           AppendPod<VertexId>(&grt->spill_buffers[c], vid);
           AppendPod<U>(&grt->spill_buffers[c], val);
-          machine->metrics()->updates_spilled.Add(1);
+          ++spilled;
           if (grt->spill_buffers[c].size() >= kSpillFlushBytes) {
-            TGPP_RETURN_IF_ERROR(flush_spill(c));
+            status = flush_spill(c);
           }
         }
       }
-      return Status::OK();
+      machine->metrics()->updates_local_gathered.Add(gathered);
+      machine->metrics()->updates_spilled.Add(spilled);
+      return status;
     };
 
     // In deterministic mode incoming messages are buffered per sender and
@@ -1945,16 +1982,15 @@ class NwsmEngine {
                   engine_internal::DenseLgb<U>* ggb, VertexId local_base,
                   MachineState* state, std::vector<V>* attrs) {
     // DenseLgb internals are reused as the GGB: values + present flags.
-    const std::vector<uint8_t>* present = nullptr;
-    const std::vector<U>* values = nullptr;
-    ggb->ExposeForApply(&values, &present);
+    const uint8_t* present = ggb->present();
+    const U* values = ggb->values();
     for (uint64_t i = 0; i < chunk.size(); ++i) {
-      const bool has_update = (*present)[i] != 0;
+      const bool has_update = present[i] != 0;
       if (app.apply_mode == ApplyMode::kUpdatedOnly && !has_update) {
         continue;
       }
       const VertexId vid = chunk.begin + i;
-      const U* update = has_update ? &(*values)[i] : nullptr;
+      const U* update = has_update ? &values[i] : nullptr;
       const bool active_next = app.vertex_apply(vid, (*attrs)[i], update);
       if (active_next) state->next_active.Set(vid - local_base);
     }

@@ -136,10 +136,12 @@ TEST(EngineOptionsProperty, AblationsPreserveResults) {
   ASSERT_TRUE(system.LoadGraph(graph).ok());
 
   const std::vector<double> expected = ReferencePageRank(graph, 3);
-  for (EngineOptions options :
-       {EngineOptions{}, EngineOptions{.in_memory_local_gather = false},
-        EngineOptions{.in_memory_local_gather = true,
-                      .read_ahead_pages = 1}}) {
+  EngineOptions no_local_gather;
+  no_local_gather.in_memory_local_gather = false;
+  EngineOptions no_read_ahead;
+  no_read_ahead.read_ahead_pages = 1;
+  for (const EngineOptions& options :
+       {EngineOptions{}, no_local_gather, no_read_ahead}) {
     auto app = MakePageRankApp(system.partition(), 3);
     std::vector<PageRankAttr> attrs;
     auto stats = system.RunQuery(app, &attrs, options);

@@ -383,6 +383,67 @@ TEST(EndToEnd, SuperstepObserverEmitsOneRowPerSuperstep) {
   EXPECT_GT(generated, 0u);
 }
 
+// The engine adds its update counters once per sub-chunk, task or
+// received message instead of once per update; at the barrier they must
+// still be exact, with local gather on and off.
+TEST(EndToEnd, UpdateCountersAreExactAtTheBarrier) {
+  fault::Disarm();
+  const EdgeList graph = GenerateRmatX(12, 33);
+  TurboGraphSystem system(SmallCluster("exact"));
+  ASSERT_TRUE(system.LoadGraph(graph, PartitionScheme::kBbp, /*q=*/2).ok());
+  const uint64_t edges = system.partition()->num_edges;
+  ASSERT_GT(edges, 0u);
+
+  for (const bool local_gather : {true, false}) {
+    SCOPED_TRACE(local_gather ? "local gather on" : "local gather off");
+    system.cluster()->ResetCountersAndCaches();
+    std::vector<obs::SuperstepRow> rows;
+    EngineOptions options;
+    options.in_memory_local_gather = local_gather;
+    options.superstep_observer = [&rows](const obs::SuperstepRow& row) {
+      rows.push_back(row);
+    };
+    auto app = MakePageRankApp(system.partition(), /*iterations=*/3);
+    auto stats = system.RunQuery(app, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->q_used, 2);
+    ASSERT_EQ(stats->supersteps, 3);
+
+    uint64_t generated = 0;
+    uint64_t sent = 0;
+    uint64_t gathered = 0;
+    uint64_t spilled = 0;
+    for (int m = 0; m < system.cluster()->num_machines(); ++m) {
+      const MachineMetrics& metrics = *system.cluster()->machine(m)->metrics();
+      generated += metrics.updates_generated.value();
+      sent += metrics.updates_sent.value();
+      gathered += metrics.updates_local_gathered.value();
+      spilled += metrics.updates_spilled.value();
+    }
+    // PageRank updates every out-edge of every vertex each superstep.
+    EXPECT_EQ(generated, edges * static_cast<uint64_t>(stats->supersteps));
+    // Every update sent is received once: gathered in memory or spilled.
+    EXPECT_EQ(gathered + spilled, sent);
+    EXPECT_GT(spilled, 0u);  // q = 2: chunk 1 spills
+    if (!local_gather) {
+      EXPECT_EQ(sent, generated);
+    }
+
+    ASSERT_EQ(static_cast<int>(rows.size()), stats->supersteps);
+    uint64_t row_generated = 0;
+    uint64_t row_sent = 0;
+    uint64_t row_spilled = 0;
+    for (const obs::SuperstepRow& row : rows) {
+      row_generated += row.updates_generated;
+      row_sent += row.updates_sent;
+      row_spilled += row.updates_spilled;
+    }
+    EXPECT_EQ(row_generated, generated);
+    EXPECT_EQ(row_sent, sent);
+    EXPECT_EQ(row_spilled, spilled);
+  }
+}
+
 // --- chaos integration -----------------------------------------------------
 
 class MetricsChaosTest : public ::testing::Test {
