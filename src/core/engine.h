@@ -1783,17 +1783,39 @@ class NwsmEngine {
     };
 
     // Accumulates one data message into GGB / spill buffers. Returns the
-    // first spill-flush error. The counters are added once per message.
+    // first spill-flush error, or Corruption for a payload whose count
+    // disagrees with its size or that carries a vertex this machine does
+    // not own (the ids come from edge pages, which are not trusted). The
+    // counters are added once per message.
+    const VertexRange my_range = pg_->MachineRange(m);
+    constexpr size_t kRecordBytes = sizeof(VertexId) + sizeof(U);
     auto consume = [&](const Message& msg) -> Status {
       PodReader reader(msg.payload);
-      reader.Read<uint8_t>();  // kind: data (checked by the caller)
-      const uint64_t count = reader.Read<uint64_t>();
+      const bool has_header =
+          reader.remaining() >= sizeof(uint8_t) + sizeof(uint64_t);
+      if (has_header) reader.Read<uint8_t>();  // kind: data (caller checks)
+      const uint64_t count = has_header ? reader.Read<uint64_t>() : 0;
+      if (!has_header || reader.remaining() % kRecordBytes != 0 ||
+          reader.remaining() / kRecordBytes != count) {
+        return Status::Corruption(
+            "machine " + std::to_string(m) + ": update payload from machine " +
+            std::to_string(msg.src) + " claims " + std::to_string(count) +
+            " updates in " + std::to_string(msg.payload.size()) + " bytes");
+      }
       uint64_t gathered = 0;
       uint64_t spilled = 0;
       Status status;
       for (uint64_t i = 0; i < count && status.ok(); ++i) {
         const VertexId vid = reader.Read<VertexId>();
         const U val = reader.Read<U>();
+        if (!my_range.Contains(vid)) {
+          status = Status::Corruption(
+              "machine " + std::to_string(m) + ": update from machine " +
+              std::to_string(msg.src) + " for vertex " + std::to_string(vid) +
+              " outside its range [" + std::to_string(my_range.begin) + ", " +
+              std::to_string(my_range.end) + ")");
+          break;
+        }
         const int c = ChunkOfLocal(m, vid);
         if (c == 0) {
           grt->ggb.Accumulate(vid, val, app.vertex_gather);

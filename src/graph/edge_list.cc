@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <system_error>
 
 namespace tgpp {
 
@@ -48,6 +51,19 @@ Result<EdgeList> LoadEdgeList(const std::string& path) {
   if (std::fread(header, sizeof(header), 1, f) != 1) {
     std::fclose(f);
     return Status::Corruption("truncated edge list header in " + path);
+  }
+  // A corrupt edge count must not reach resize(): check it against the
+  // bytes the file actually holds.
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec || file_bytes < sizeof(header) ||
+      (file_bytes - sizeof(header)) % sizeof(Edge) != 0 ||
+      (file_bytes - sizeof(header)) / sizeof(Edge) != header[1]) {
+    std::fclose(f);
+    return Status::Corruption("edge list header in " + path + " claims " +
+                              std::to_string(header[1]) +
+                              " edges, but the file is " +
+                              std::to_string(file_bytes) + " bytes");
   }
   EdgeList graph;
   graph.num_vertices = header[0];

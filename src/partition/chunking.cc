@@ -1,6 +1,7 @@
 #include "partition/chunking.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "storage/page_file.h"
@@ -15,6 +16,23 @@ namespace {
 int ChunkIndexOf(VertexId v, const VertexRange& range, int parts) {
   const uint64_t chunk = (range.size() + parts - 1) / parts;
   return chunk == 0 ? 0 : static_cast<int>((v - range.begin) / chunk);
+}
+
+// Stable counting sort of `edges` by `field`, whose values all lie in
+// `range`. Being stable, two passes sort by two keys: by the minor key
+// first, then by the major one.
+void CountingSortBy(std::span<Edge> edges, VertexId Edge::*field,
+                    const VertexRange& range, std::vector<uint64_t>* count,
+                    std::vector<Edge>* scratch) {
+  if (edges.size() < 2) return;
+  count->assign(range.size() + 1, 0);
+  for (const Edge& e : edges) ++(*count)[e.*field - range.begin + 1];
+  std::partial_sum(count->begin(), count->end(), count->begin());
+  scratch->resize(edges.size());
+  for (const Edge& e : edges) {
+    (*scratch)[(*count)[e.*field - range.begin]++] = e;
+  }
+  std::copy(scratch->begin(), scratch->end(), edges.begin());
 }
 
 // Writes one sub-chunk's edges (sorted by (src, dst)) as slotted pages.
@@ -82,8 +100,7 @@ Status WriteSubChunk(PageFile* file, std::span<const Edge> edges,
 }  // namespace
 
 Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
-                          std::vector<Edge> edges, MachinePartition* out) {
-  out->num_edges = edges.size();
+                          const EdgeList& graph, MachinePartition* out) {
   out->chunks.clear();
   out->page_index.clear();
 
@@ -92,21 +109,39 @@ Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
   const int r = pg.r;
   const VertexRange my_range = out->range;
 
-  // Group key per edge: (src_chunk i, global dst chunk j). The grid is
-  // small (q * p * q), so bucket sort by key then sort each group by dst.
-  auto key_of = [&](const Edge& e) -> uint64_t {
-    const int i = ChunkIndexOf(e.src, my_range, q);
-    const int owner = pg.OwnerOf(e.dst);
-    const int j = owner * q + ChunkIndexOf(e.dst, pg.MachineRange(owner), q);
-    return static_cast<uint64_t>(i) * (p * q) + j;
+  // Group key of a renumbered edge: (src_chunk i, global dst chunk j).
+  // The grid is small (q * p * q keys), so a counting sort by key costs
+  // two scans of the input. Within a group, counting sorts over the
+  // chunk's src and dst ranges replace comparison sorts.
+  const size_t num_keys = static_cast<size_t>(q) * p * q;
+  auto key_of = [&](VertexId src, VertexId dst) -> size_t {
+    const int i = ChunkIndexOf(src, my_range, q);
+    const int owner = pg.OwnerOf(dst);
+    const int j = owner * q + ChunkIndexOf(dst, pg.MachineRange(owner), q);
+    return static_cast<size_t>(i) * (p * q) + j;
   };
-  std::sort(edges.begin(), edges.end(), [&](const Edge& a, const Edge& b) {
-    const uint64_t ka = key_of(a);
-    const uint64_t kb = key_of(b);
-    if (ka != kb) return ka < kb;
-    if (a.dst != b.dst) return a.dst < b.dst;  // dst-sorted for sub split
-    return a.src < b.src;
-  });
+
+  // Scan 1: count the edges this machine owns (by renumbered source) per
+  // key; offset[key] .. offset[key + 1] becomes the key's slot range.
+  std::vector<uint64_t> offset(num_keys + 1, 0);
+  for (const Edge& e : graph.edges) {
+    const VertexId src = pg.old_to_new[e.src];
+    if (!my_range.Contains(src)) continue;
+    ++offset[key_of(src, pg.old_to_new[e.dst]) + 1];
+  }
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+
+  // Scan 2: place each renumbered edge in its key's next slot (input
+  // order within a group).
+  std::vector<Edge> edges(offset[num_keys]);
+  std::vector<uint64_t> cursor(offset.begin(), offset.end() - 1);
+  for (const Edge& e : graph.edges) {
+    const VertexId src = pg.old_to_new[e.src];
+    if (!my_range.Contains(src)) continue;
+    const VertexId dst = pg.old_to_new[e.dst];
+    edges[cursor[key_of(src, dst)]++] = Edge{src, dst};
+  }
+  out->num_edges = edges.size();
 
   // Fresh edge file (repartitioning overwrites the previous layout).
   TGPP_ASSIGN_OR_RETURN(
@@ -114,20 +149,23 @@ Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
       PageFile::Open(machine->disk(), PartitionedGraph::kEdgeFileName));
   TGPP_RETURN_IF_ERROR(file.Clear());
 
-  std::vector<Edge> sub_edges;
-  size_t pos = 0;
+  std::vector<uint64_t> count;
+  std::vector<Edge> scratch;
   for (int i = 0; i < q; ++i) {
+    const VertexRange src_chunk = pg.VertexChunkRange(machine->id(), i);
     for (int j = 0; j < p * q; ++j) {
-      const uint64_t key = static_cast<uint64_t>(i) * (p * q) + j;
-      size_t end = pos;
-      while (end < edges.size() && key_of(edges[end]) == key) ++end;
-      const std::span<const Edge> group(edges.data() + pos, end - pos);
-      pos = end;
+      const size_t key = static_cast<size_t>(i) * (p * q) + j;
+      const std::span<Edge> group(edges.data() + offset[key],
+                                  offset[key + 1] - offset[key]);
+      const VertexRange dst_chunk = pg.DstChunkRange(j);
+      // Sort by (dst, src): dst order for the sub-chunk cuts, src as the
+      // tie-break so the layout does not depend on input order.
+      CountingSortBy(group, &Edge::src, src_chunk, &count, &scratch);
+      CountingSortBy(group, &Edge::dst, dst_chunk, &count, &scratch);
 
       // Split the (dst-sorted) group into r sub-chunks of near-equal edge
       // counts, cutting only at dst boundaries (paper Fig 7 (d): balanced
       // via degree information; equal-edge cuts achieve the same balance).
-      const VertexRange dst_chunk = pg.DstChunkRange(j);
       size_t sub_begin = 0;
       for (int sub = 0; sub < r; ++sub) {
         size_t sub_end;
@@ -148,7 +186,7 @@ Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
         info.src_chunk = i;
         info.dst_chunk = j;
         info.sub_chunk = sub;
-        info.src_range = pg.VertexChunkRange(machine->id(), i);
+        info.src_range = src_chunk;
         info.dst_range =
             VertexRange{sub_begin < sub_end ? group[sub_begin].dst
                                             : dst_chunk.begin,
@@ -157,10 +195,12 @@ Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
         info.num_edges = sub_end - sub_begin;
         info.first_page = file.num_pages();
 
-        // Sort the sub-chunk by (src, dst) so records group by source.
-        sub_edges.assign(group.begin() + sub_begin,
-                         group.begin() + sub_end);
-        std::sort(sub_edges.begin(), sub_edges.end());
+        // Re-sort the sub-chunk by src; it is dst-sorted, so it ends up
+        // in (src, dst) order and its records group by source. Later cuts
+        // only read positions at or past sub_end.
+        const std::span<Edge> sub_edges =
+            group.subspan(sub_begin, sub_end - sub_begin);
+        CountingSortBy(sub_edges, &Edge::src, src_chunk, &count, &scratch);
         TGPP_RETURN_IF_ERROR(WriteSubChunk(&file, sub_edges,
                                            &out->page_index,
                                            &info.num_pages));
@@ -169,8 +209,6 @@ Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
       }
     }
   }
-  TGPP_CHECK(pos == edges.size())
-      << "chunking dropped edges: " << pos << " of " << edges.size();
   return Status::OK();
 }
 

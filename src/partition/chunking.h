@@ -12,12 +12,21 @@
 
 namespace tgpp::partition_internal {
 
-// Sorts `edges` (already renumbered, src owned by `machine`) into the chunk
-// grid and writes them to the machine's edge page file. Fills
-// out->num_edges, out->chunks and out->page_index (out->range must already
-// be set).
+// Gathers the edges of `graph` (OLD ids) whose renumbered source lies in
+// out->range, sorts them into the chunk grid and writes them to the
+// machine's edge page file. Fills out->num_edges, out->chunks and
+// out->page_index. Needs pg.old_to_new and every machine's range set, and
+// every endpoint of `graph` below pg.num_vertices (PartitionGraph checks).
+// Reads `graph` and `pg` only, so all machines may run it at once.
+//
+// Cost is linear: two scans of `graph` (count per (i, j) key, then place
+// into the key's slot), then stable counting sorts over the chunk ranges,
+// which put each group in (dst, src) order and each sub-chunk in
+// (src, dst) order. The machine holds one copy of its own edges. Both
+// orders are total, so the layout is a pure function of the edge multiset
+// and `pg`: input order never shows in the bytes.
 Status WriteMachineChunks(Machine* machine, const PartitionedGraph& pg,
-                          std::vector<Edge> edges, MachinePartition* out);
+                          const EdgeList& graph, MachinePartition* out);
 
 }  // namespace tgpp::partition_internal
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 #include <tuple>
 
 #include "common/logging.h"
-#include "graph/degree.h"
 #include "partition/chunking.h"
 #include "util/rng.h"
 
@@ -78,8 +78,20 @@ Result<PartitionedGraph> PartitionGraph(Cluster* cluster,
   pg.scheme = options.scheme;
 
   // Step 1: placement. BBP sorts by degree and deals round-robin; the
-  // baseline schemes hash or randomize.
-  const std::vector<uint64_t> degrees = ComputeOutDegrees(graph);
+  // baseline schemes hash or randomize. The out-degree pass also rejects
+  // an endpoint outside [0, num_vertices), which every later step would
+  // use as an index.
+  std::vector<uint64_t> degrees(graph.num_vertices, 0);
+  for (size_t k = 0; k < graph.edges.size(); ++k) {
+    const Edge& e = graph.edges[k];
+    if (e.src >= graph.num_vertices || e.dst >= graph.num_vertices) {
+      return Status::InvalidArgument(
+          "edge " + std::to_string(k) + " (" + std::to_string(e.src) +
+          " -> " + std::to_string(e.dst) + ") has an endpoint >= " +
+          "num_vertices " + std::to_string(graph.num_vertices));
+    }
+    ++degrees[e.src];
+  }
   const std::vector<int> assignment = partition_internal::AssignVertices(
       graph, degrees, p, options.scheme, options.seed);
 
@@ -98,18 +110,13 @@ Result<PartitionedGraph> PartitionGraph(Cluster* cluster,
   pg.machines.resize(p);
   for (int m = 0; m < p; ++m) pg.machines[m].range = machine_ranges[m];
 
-  // Step 3: bucket renumbered edges by owner machine.
-  std::vector<std::vector<Edge>> buckets(p);
-  for (const Edge& e : graph.edges) {
-    const Edge renumbered{pg.old_to_new[e.src], pg.old_to_new[e.dst]};
-    buckets[pg.OwnerOf(renumbered.src)].push_back(renumbered);
-  }
-
-  // Step 4: each machine chunks and writes its bucket to its own disk in
-  // parallel (the distributed part of BBP; I/O is counted per machine).
+  // Step 3: each machine, in parallel, scans the input for the edges it
+  // owns, counting-sorts them into its chunk grid and writes the grid to
+  // its own disk (the distributed part of BBP; I/O is counted per
+  // machine). No machine holds more than one copy of its edges.
   Status status = cluster->RunOnAll([&](int m) -> Status {
-    return partition_internal::WriteMachineChunks(
-        cluster->machine(m), pg, std::move(buckets[m]), &pg.machines[m]);
+    return partition_internal::WriteMachineChunks(cluster->machine(m), pg,
+                                                  graph, &pg.machines[m]);
   });
   TGPP_RETURN_IF_ERROR(status);
   return pg;

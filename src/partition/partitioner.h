@@ -136,6 +136,12 @@ struct PartitionOptions {
 // Partitions `graph` across the machines of `cluster`, writing each
 // machine's edge chunks to its disk. The cluster's numa_nodes_per_machine
 // provides r. Overwrites any previous partition on disk.
+//
+// Steps: (1) out-degrees and placement, (2) renumbering into consecutive
+// per-machine ranges, both serial; (3) per machine, in parallel: gather
+// the machine's renumbered edges straight into its chunk grid and write
+// it (partition_internal::WriteMachineChunks). Returns InvalidArgument,
+// naming the first bad edge, if an endpoint is >= graph.num_vertices.
 Result<PartitionedGraph> PartitionGraph(Cluster* cluster,
                                         const EdgeList& graph,
                                         const PartitionOptions& options);

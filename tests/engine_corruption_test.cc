@@ -12,8 +12,10 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "algos/bfs.h"
 #include "algos/pagerank.h"
 #include "core/system.h"
 #include "graph/rmat.h"
@@ -38,8 +40,9 @@ enum class Field { kDst, kSrc };
 // Overwrites the first record of machine 0's first non-empty edge chunk:
 // its first destination, or its source, becomes `value`. Then drops the
 // machine's buffer pool so the next scan reads the corrupt page from disk.
+// Stores the record's original source (new id) in `*record_src` if given.
 void CorruptFirstRecord(TurboGraphSystem* system, Field field,
-                        VertexId value) {
+                        VertexId value, VertexId* record_src = nullptr) {
   Machine* machine = system->cluster()->machine(0);
   const MachinePartition& part = system->partition()->machines[0];
   auto chunk = std::find_if(
@@ -56,6 +59,7 @@ void CorruptFirstRecord(TurboGraphSystem* system, Field field,
   uint8_t* slot_bytes = page.data() + kPageSize - sizeof(PageSlot);
   std::memcpy(&slot, slot_bytes, sizeof(slot));
   ASSERT_GT(slot.count, 0u);
+  if (record_src != nullptr) *record_src = slot.src;
   if (field == Field::kDst) {
     std::memcpy(page.data() + slot.offset, &value, sizeof(value));
   } else {
@@ -113,6 +117,25 @@ TEST_F(EngineCorruption, SourceOutsideChunkIsCorruption) {
   const Status status = RunPageRank();
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   EXPECT_NE(status.message().find("outside chunk range"), std::string::npos)
+      << status.ToString();
+}
+
+// A sparse window reads the source's adjacency through the adjacency
+// service and ships each update to the owner of its destination; a
+// destination past |V| reaches the last machine's gather, which must
+// reject it before it indexes a spill buffer.
+TEST_F(EngineCorruption, SparseWindowDestinationOutsideGraphIsCorruption) {
+  VertexId source = kInvalidVertex;
+  const VertexId bad_dst = system_->partition()->num_vertices + 1000;
+  CorruptFirstRecord(system_.get(), Field::kDst, bad_dst, &source);
+  auto app = MakeBfsApp(system_->partition(),
+                        system_->partition()->new_to_old[source]);
+  EngineOptions options;
+  options.frontier.sparse_windows = true;
+  const Status status = system_->RunQuery(app, options).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("vertex " + std::to_string(bad_dst)),
+            std::string::npos)
       << status.ToString();
 }
 

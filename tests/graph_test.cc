@@ -70,6 +70,23 @@ TEST(EdgeList, LoadRejectsTruncatedFile) {
   std::filesystem::remove(path);
 }
 
+TEST(EdgeList, LoadRejectsEdgeCountBeyondFileSize) {
+  // A corrupt header must be reported, not turned into a huge allocation.
+  const std::string path = ScratchPath("bad_count.bin");
+  ASSERT_TRUE(SaveEdgeList(GenerateRmatX(6, 1), path).ok());
+  for (const uint64_t count : {~0ull, ~0ull / sizeof(Edge), 1ull << 40}) {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, sizeof(uint64_t), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+    std::fclose(f);
+    const Result<EdgeList> loaded = LoadEdgeList(path);
+    ASSERT_FALSE(loaded.ok()) << count;
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(EdgeList, MakeUndirectedSymmetrizesAndDedupes) {
   EdgeList g;
   g.num_vertices = 4;

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <map>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "graph/degree.h"
@@ -22,6 +24,7 @@
 #include "storage/page_file.h"
 #include "storage/slotted_page.h"
 #include "test_scratch.h"
+#include "util/crc32.h"
 
 namespace tgpp {
 namespace {
@@ -272,6 +275,127 @@ TEST_F(BbpSpecific, NearOptimalBalanceOnExtremeSkew) {
       std::max(1.0, static_cast<double>(stats.max_degree) / mean);
   EXPECT_LE(bbp->EdgeBalanceRatio(), optimal_ratio * 1.15)
       << "d_max=" << stats.max_degree;
+}
+
+// --- Golden layout: the chunk writer's exact bytes ---
+//
+// The engine, the dynamic-graph mutator and every digest in the benches
+// read the layout the chunk writer produces, so a change to how it groups
+// and sorts edges must not move a single byte. These CRCs were recorded
+// from the comparison-sort chunker that preceded the counting-sort one.
+
+// CRC of machine m's edge page file, chunk table and page index.
+uint32_t LayoutCrc(Cluster* cluster, const PartitionedGraph& pg, int m) {
+  auto file = PageFile::Open(cluster->machine(m)->disk(),
+                             PartitionedGraph::kEdgeFileName);
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  if (!file.ok()) return 0;
+  uint32_t crc = 0;
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t no = 0; no < file->num_pages(); ++no) {
+    EXPECT_TRUE(file->ReadPage(no, page.data()).ok());
+    crc = Crc32(page.data(), page.size(), crc);
+  }
+  // Fields one by one: struct padding must not enter the checksum.
+  std::vector<uint64_t> fields;
+  const MachinePartition& part = pg.machines[m];
+  fields.push_back(part.num_edges);
+  for (const EdgeChunkInfo& c : part.chunks) {
+    fields.insert(fields.end(),
+                  {static_cast<uint64_t>(c.src_chunk),
+                   static_cast<uint64_t>(c.dst_chunk),
+                   static_cast<uint64_t>(c.sub_chunk), c.src_range.begin,
+                   c.src_range.end, c.dst_range.begin, c.dst_range.end,
+                   c.num_edges, c.first_page, c.num_pages,
+                   c.delta_pages.size()});
+  }
+  for (const PageIndexEntry& e : part.page_index) {
+    fields.insert(fields.end(), {e.page_no, e.src_min, e.src_max});
+  }
+  return Crc32(fields.data(), fields.size() * sizeof(uint64_t), crc);
+}
+
+// Three sources send all their edges (with repeats) to one hub. Every
+// group's destinations are equal, so the r = 2 cut advances to the group's
+// end and leaves the second sub-chunk empty; BBP deals the three sources
+// to machines 0-2, so machine 3 owns no edges at all.
+EdgeList HubGraph() {
+  EdgeList graph;
+  graph.num_vertices = 40;
+  for (VertexId src : {1, 2, 3}) {
+    for (VertexId k = 0; k < 2 * src + 1; ++k) {
+      graph.edges.push_back(Edge{src, 0});
+    }
+  }
+  return graph;
+}
+
+TEST(PartitionGoldenLayout, BytesMatchTheRecordedLayout) {
+  struct Golden {
+    const char* name;
+    EdgeList graph;
+    int q;
+    int r;
+    std::array<uint32_t, 4> crc;  // per machine
+  };
+  const EdgeList rmat = GenerateRmatX(12, 31);
+  const Golden cases[] = {
+      {"rmat_q1_r1", rmat, 1, 1,
+       {766526351u, 765773292u, 2513949621u, 2463043995u}},
+      {"rmat_q3_r2", rmat, 3, 2,
+       {1304071884u, 2547643111u, 446048661u, 2665219980u}},
+      {"rmat_q4_r2", rmat, 4, 2,
+       {3444207119u, 600596378u, 3866670482u, 1134439035u}},
+      {"hub_q2_r2", HubGraph(), 2, 2,
+       {94362803u, 2022536776u, 1505361391u, 1405345100u}},
+  };
+  for (const Golden& golden : cases) {
+    SCOPED_TRACE(golden.name);
+    ClusterConfig config;
+    config.num_machines = 4;
+    config.numa_nodes_per_machine = golden.r;
+    config.root_dir = ScratchPath(golden.name);
+    std::filesystem::remove_all(config.root_dir);
+    Cluster cluster(config);
+    PartitionOptions options;
+    options.q = golden.q;
+    auto pg = PartitionGraph(&cluster, golden.graph, options);
+    ASSERT_TRUE(pg.ok()) << pg.status().ToString();
+    for (int m = 0; m < 4; ++m) {
+      EXPECT_EQ(LayoutCrc(&cluster, *pg, m), golden.crc[m])
+          << "machine " << m;
+    }
+    if (std::string(golden.name) == "hub_q2_r2") {
+      EXPECT_EQ(pg->machines[3].num_edges, 0u);
+      for (int m = 0; m < 3; ++m) {
+        EXPECT_GT(pg->machines[m].num_edges, 1u) << "machine " << m;
+        for (const EdgeChunkInfo& c : pg->machines[m].chunks) {
+          if (c.sub_chunk == 1) {
+            EXPECT_EQ(c.num_edges, 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PartitionErrors, RejectsEndpointOutOfRange) {
+  ClusterConfig config;
+  config.num_machines = 2;
+  config.root_dir = ScratchPath("bad_edge");
+  std::filesystem::remove_all(config.root_dir);
+  Cluster cluster(config);
+  EdgeList graph;
+  graph.num_vertices = 4;
+  graph.edges = {{0, 1}, {1, 2}, {2, 7}, {9, 0}};
+  const Result<PartitionedGraph> pg =
+      PartitionGraph(&cluster, graph, PartitionOptions{});
+  ASSERT_FALSE(pg.ok());
+  EXPECT_EQ(pg.status().code(), StatusCode::kInvalidArgument)
+      << pg.status().ToString();
+  // The message names the first bad edge: index 2, 2 -> 7.
+  EXPECT_NE(pg.status().message().find("edge 2 (2 -> 7)"), std::string::npos)
+      << pg.status().ToString();
 }
 
 TEST(PartitionErrors, RejectsNonPositiveQ) {
