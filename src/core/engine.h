@@ -17,8 +17,9 @@
 //              parent index built from Mark() calls plays the role of the
 //              backward traversal over the in-memory level-l window.
 //   gather   — a concurrent global-gather task (Algorithm 2) accumulates
-//              incoming updates into the in-memory GGB for the first
-//              vertex chunk and spills the rest to q-1 disk partitions.
+//              incoming updates into the in-memory GGB for the resident
+//              chunk (most incoming edges) and spills the other q-1
+//              vertex chunks to disk partitions.
 //   apply    — after the global barrier, spilled partitions are gathered
 //              by a producer thread while the apply task consumes ready
 //              chunks (Algorithms 3-4, double buffered).
@@ -78,6 +79,33 @@ class NwsmEngine;
 
 namespace engine_internal {
 
+// Update payload wire format, shared by every sender and the gather task:
+// a 1-byte kind (0 = data, 1 = done marker), a uint64 record count, then
+// `count` packed (VertexId, U) records.
+inline constexpr size_t kUpdateHeaderBytes = sizeof(uint8_t) + sizeof(uint64_t);
+template <typename U>
+inline constexpr size_t kUpdateRecordBytes = sizeof(VertexId) + sizeof(U);
+
+// A data payload sized once for `count` records, header written; the
+// caller fills the records with PutUpdateRecord from
+// data() + kUpdateHeaderBytes.
+template <typename U>
+std::vector<uint8_t> NewUpdatePayload(uint64_t count) {
+  std::vector<uint8_t> payload(kUpdateHeaderBytes +
+                               count * kUpdateRecordBytes<U>);
+  payload[0] = 0;  // kind: data
+  std::memcpy(payload.data() + 1, &count, sizeof(count));
+  return payload;
+}
+
+// Writes one (vid, val) record at `out`; returns the next record's slot.
+template <typename U>
+uint8_t* PutUpdateRecord(uint8_t* out, VertexId vid, const U& val) {
+  std::memcpy(out, &vid, sizeof(VertexId));
+  std::memcpy(out + sizeof(VertexId), &val, sizeof(U));
+  return out + kUpdateRecordBytes<U>;
+}
+
 // Dense local gather buffer over one destination chunk range. Sub-chunk
 // tasks write disjoint index ranges, so no synchronization is needed
 // (the NUMA-aware CAS elimination of paper §3 / A.3).
@@ -102,17 +130,18 @@ class DenseLgb {
     }
   }
 
-  // Serializes present entries as (vid, U) pairs after a 1-byte kind and a
-  // count, clearing nothing (caller Resets).
-  std::vector<uint8_t> Serialize() const {
-    std::vector<uint8_t> payload;
-    AppendPod<uint8_t>(&payload, 0);  // kind: data
-    AppendPod<uint64_t>(&payload, present_count());
-    for (uint64_t i = 0; i < present_.size(); ++i) {
-      if (!present_[i]) continue;
-      AppendPod<VertexId>(&payload, range_.begin + i);
-      AppendPod<U>(&payload, values_[i]);
+  // Serializes the present entries as an update payload in one pass;
+  // `count` is present_count(), which the caller has already taken.
+  // Clears nothing (caller Resets).
+  std::vector<uint8_t> Serialize(uint64_t count) const {
+    std::vector<uint8_t> payload = NewUpdatePayload<U>(count);
+    uint8_t* out = payload.data() + kUpdateHeaderBytes;
+    uint8_t* const end = payload.data() + payload.size();
+    for (uint64_t i = 0; i < present_.size() && out != end; ++i) {
+      if (present_[i]) out = PutUpdateRecord(out, range_.begin + i, values_[i]);
     }
+    TGPP_CHECK(out == end)
+        << "LGB count " << count << " is not its present count";
     return payload;
   }
 
@@ -307,6 +336,7 @@ class NwsmEngine {
           " but the graph is partitioned with q=" + std::to_string(pg_->q) +
           "; repartition first (TurboGraphSystem does this automatically)");
     }
+    resident_chunk_ = ResidentChunks();
     WallTimer timer;
     QueryStats stats;
     stats.q_used = pg_->q;
@@ -814,7 +844,9 @@ class NwsmEngine {
     }
 
     // Pre-superstep: truncate spill partitions.
-    for (int c = 1; c < q && step_status.ok(); ++c) {
+    const int resident = resident_chunk_[m];
+    for (int c = 0; c < q && step_status.ok(); ++c) {
+      if (c == resident) continue;
       step_status = machine->disk()->Truncate(SpillFileName(c), 0);
     }
 
@@ -822,8 +854,8 @@ class NwsmEngine {
     // on a failed machine: peers' updates addressed here must be drained
     // so *their* sends and done markers complete.
     GatherRuntime gather;
-    gather.chunk0 = pg_->VertexChunkRange(m, 0);
-    gather.ggb.Reset(gather.chunk0);
+    gather.resident = resident;
+    gather.ggb.Reset(pg_->VertexChunkRange(m, resident));
     std::thread gather_thread([&] {
       if (trace::Enabled()) {
         trace::SetCurrentMachine(m);
@@ -991,7 +1023,8 @@ class NwsmEngine {
             options_.in_memory_local_gather ? lgb.present_count() : 0;
         if (combined > 0) {
           machine->metrics()->updates_sent.Add(combined);
-          cluster_->fabric()->Send(m, j / q, Tag(kTagUpdates), lgb.Serialize());
+          cluster_->fabric()->Send(m, j / q, Tag(kTagUpdates),
+                                   lgb.Serialize(combined));
         }
       }
     }
@@ -1338,7 +1371,8 @@ class NwsmEngine {
         machine->metrics()->updates_sent.Add(combined);
         // Self-delivery: the gather task routes these into GGB/spill
         // exactly like remote updates, at zero fabric bytes.
-        cluster_->fabric()->Send(m, m, Tag(kTagUpdates), lgb.Serialize());
+        cluster_->fabric()->Send(m, m, Tag(kTagUpdates),
+                                 lgb.Serialize(combined));
       }
     }
     return Status::OK();
@@ -1589,24 +1623,25 @@ class NwsmEngine {
 
   // Ships (vid, update) pairs to their owner machines: one payload per
   // owner, entries in iteration order, in the wire format of
-  // DenseLgb::Serialize.
+  // DenseLgb::Serialize. Counts per owner first, so each payload is
+  // sized once and then filled.
   template <typename Pairs>
   void ShipToOwners(int m, const Pairs& updates) {
-    std::vector<std::vector<uint8_t>> per_owner(pg_->p);
     std::vector<uint64_t> counts(pg_->p, 0);
+    for (const auto& [vid, val] : updates) ++counts[pg_->OwnerOf(vid)];
+    std::vector<std::vector<uint8_t>> per_owner(pg_->p);
+    std::vector<uint8_t*> out(pg_->p, nullptr);
+    for (int dst = 0; dst < pg_->p; ++dst) {
+      if (counts[dst] == 0) continue;
+      per_owner[dst] = engine_internal::NewUpdatePayload<U>(counts[dst]);
+      out[dst] = per_owner[dst].data() + engine_internal::kUpdateHeaderBytes;
+    }
     for (const auto& [vid, val] : updates) {
-      const int owner = pg_->OwnerOf(vid);
-      if (per_owner[owner].empty()) {
-        AppendPod<uint8_t>(&per_owner[owner], 0);   // kind: data
-        AppendPod<uint64_t>(&per_owner[owner], 0);  // patched below
-      }
-      AppendPod<VertexId>(&per_owner[owner], vid);
-      AppendPod<U>(&per_owner[owner], val);
-      ++counts[owner];
+      uint8_t*& slot = out[pg_->OwnerOf(vid)];
+      slot = engine_internal::PutUpdateRecord(slot, vid, val);
     }
     for (int dst = 0; dst < pg_->p; ++dst) {
-      if (per_owner[dst].empty()) continue;
-      std::memcpy(per_owner[dst].data() + 1, &counts[dst], sizeof(uint64_t));
+      if (counts[dst] == 0) continue;
       cluster_->machine(m)->metrics()->updates_sent.Add(counts[dst]);
       cluster_->fabric()->Send(m, dst, Tag(kTagUpdates),
                                std::move(per_owner[dst]));
@@ -1616,10 +1651,10 @@ class NwsmEngine {
   // ---- global gather task (Algorithm 2) ----
 
   struct GatherRuntime {
-    VertexRange chunk0;
+    int resident = 0;  // the vertex chunk the GGB holds
     engine_internal::DenseLgb<U> ggb;  // in-memory global gather buffer
     Status status;
-    // Buffered spill writers, one per chunk >= 1.
+    // Buffered spill writers, one per chunk (the resident one stays empty).
     std::vector<std::vector<uint8_t>> spill_buffers;
   };
 
@@ -1758,6 +1793,28 @@ class NwsmEngine {
     });
   }
 
+  // Per machine, the vertex chunk with the most incoming edges over every
+  // machine's edge chunks (ties to the lowest index). Keeping it in the
+  // GGB spills the fewest updates; BBP numbers vertices by ascending
+  // degree, so it is usually the last chunk. Every chunk is at most
+  // chunk 0's size, so the GGB stays within the Theorem 4.1 budget.
+  std::vector<int> ResidentChunks() const {
+    const int q = pg_->q;
+    std::vector<uint64_t> in_edges(static_cast<size_t>(pg_->p) * q, 0);
+    for (const MachinePartition& part : pg_->machines) {
+      for (const EdgeChunkInfo& chunk : part.chunks) {
+        in_edges[chunk.dst_chunk] += chunk.num_edges;
+      }
+    }
+    std::vector<int> resident(pg_->p, 0);
+    for (int m = 0; m < pg_->p; ++m) {
+      const uint64_t* edges = in_edges.data() + static_cast<size_t>(m) * q;
+      resident[m] =
+          static_cast<int>(std::max_element(edges, edges + q) - edges);
+    }
+    return resident;
+  }
+
   int ChunkOfLocal(int m, VertexId vid) const {
     const VertexRange range = pg_->MachineRange(m);
     const uint64_t chunk =
@@ -1786,49 +1843,70 @@ class NwsmEngine {
     // first spill-flush error, or Corruption for a payload whose count
     // disagrees with its size or that carries a vertex this machine does
     // not own (the ids come from edge pages, which are not trusted). The
-    // counters are added once per message.
+    // current vid's chunk range is cached, so the chunk is recomputed only
+    // where the payload leaves it; each maximal run of records for one
+    // spilled chunk is copied into its spill buffer whole (an LGB payload
+    // covers one destination chunk, so it is a single run). The counters
+    // are added once per message.
     const VertexRange my_range = pg_->MachineRange(m);
-    constexpr size_t kRecordBytes = sizeof(VertexId) + sizeof(U);
+    constexpr size_t kHeaderBytes = engine_internal::kUpdateHeaderBytes;
+    constexpr size_t kRecordBytes = engine_internal::kUpdateRecordBytes<U>;
     auto consume = [&](const Message& msg) -> Status {
-      PodReader reader(msg.payload);
-      const bool has_header =
-          reader.remaining() >= sizeof(uint8_t) + sizeof(uint64_t);
-      if (has_header) reader.Read<uint8_t>();  // kind: data (caller checks)
-      const uint64_t count = has_header ? reader.Read<uint64_t>() : 0;
-      if (!has_header || reader.remaining() % kRecordBytes != 0 ||
-          reader.remaining() / kRecordBytes != count) {
+      const size_t size = msg.payload.size();
+      uint64_t count = 0;
+      if (size >= kHeaderBytes) {
+        std::memcpy(&count, msg.payload.data() + 1, sizeof(count));
+      }
+      if (size < kHeaderBytes || (size - kHeaderBytes) % kRecordBytes != 0 ||
+          (size - kHeaderBytes) / kRecordBytes != count) {
         return Status::Corruption(
             "machine " + std::to_string(m) + ": update payload from machine " +
             std::to_string(msg.src) + " claims " + std::to_string(count) +
-            " updates in " + std::to_string(msg.payload.size()) + " bytes");
+            " updates in " + std::to_string(size) + " bytes");
       }
+      const uint8_t* rec = msg.payload.data() + kHeaderBytes;
+      const uint8_t* const end = rec + count * kRecordBytes;
+      int c = grt->resident;
+      VertexRange chunk;  // empty: the first record looks its chunk up
+      const uint8_t* run = rec;  // first record of the pending spill run
       uint64_t gathered = 0;
       uint64_t spilled = 0;
+      // Copies the pending run [run, rec) of chunk c into its buffer.
+      auto spill_run = [&]() -> Status {
+        if (c == grt->resident || run == rec) return Status::OK();
+        auto& buf = grt->spill_buffers[c];
+        buf.insert(buf.end(), run, rec);
+        spilled += (rec - run) / kRecordBytes;
+        return buf.size() >= kSpillFlushBytes ? flush_spill(c) : Status::OK();
+      };
       Status status;
-      for (uint64_t i = 0; i < count && status.ok(); ++i) {
-        const VertexId vid = reader.Read<VertexId>();
-        const U val = reader.Read<U>();
-        if (!my_range.Contains(vid)) {
-          status = Status::Corruption(
-              "machine " + std::to_string(m) + ": update from machine " +
-              std::to_string(msg.src) + " for vertex " + std::to_string(vid) +
-              " outside its range [" + std::to_string(my_range.begin) + ", " +
-              std::to_string(my_range.end) + ")");
-          break;
+      for (; rec != end; rec += kRecordBytes) {
+        VertexId vid;
+        std::memcpy(&vid, rec, sizeof(vid));
+        if (!chunk.Contains(vid)) {
+          if (!my_range.Contains(vid)) {
+            status = Status::Corruption(
+                "machine " + std::to_string(m) + ": update from machine " +
+                std::to_string(msg.src) + " for vertex " +
+                std::to_string(vid) + " outside its range [" +
+                std::to_string(my_range.begin) + ", " +
+                std::to_string(my_range.end) + ")");
+            break;
+          }
+          status = spill_run();
+          if (!status.ok()) break;
+          c = ChunkOfLocal(m, vid);
+          chunk = pg_->VertexChunkRange(m, c);
+          run = rec;
         }
-        const int c = ChunkOfLocal(m, vid);
-        if (c == 0) {
+        if (c == grt->resident) {
+          U val;
+          std::memcpy(&val, rec + sizeof(VertexId), sizeof(U));
           grt->ggb.Accumulate(vid, val, app.vertex_gather);
           ++gathered;
-        } else {
-          AppendPod<VertexId>(&grt->spill_buffers[c], vid);
-          AppendPod<U>(&grt->spill_buffers[c], val);
-          ++spilled;
-          if (grt->spill_buffers[c].size() >= kSpillFlushBytes) {
-            status = flush_spill(c);
-          }
         }
       }
+      if (status.ok()) status = spill_run();
       machine->metrics()->updates_local_gathered.Add(gathered);
       machine->metrics()->updates_spilled.Add(spilled);
       return status;
@@ -1877,7 +1955,7 @@ class NwsmEngine {
         }
       }
     }
-    for (int c = 1; c < pg_->q; ++c) {
+    for (int c = 0; c < pg_->q; ++c) {
       Status s = flush_spill(c);
       if (!s.ok()) {
         grt->status = s;
@@ -1918,7 +1996,8 @@ class NwsmEngine {
         obs::SetCurrentJob(options_.job_id);
         trace::TraceSpan spill_span("gather.spilled", "engine");
         obs::ScopedCpuCounter cpu(&machine->metrics()->gather_cpu_nanos);
-        for (int c = 1; c < q; ++c) {
+        for (int c = 0; c < q; ++c) {
+          if (c == grt->resident) continue;
           Slot slot;
           slot.chunk = c;
           slot.ggb.Reset(pg_->VertexChunkRange(m, c));
@@ -1973,7 +2052,7 @@ class NwsmEngine {
       for (int c = 0; c < q && apply_status.ok(); ++c) {
         engine_internal::DenseLgb<U>* ggb = nullptr;
         Slot slot;
-        if (c == 0) {
+        if (c == grt->resident) {
           ggb = &grt->ggb;
         } else {
           std::unique_lock<std::mutex> lock(mu);
@@ -2092,6 +2171,9 @@ class NwsmEngine {
   // Set by Run() before the superstep loop starts (machine threads only
   // read it): routes JobBarrier through the failable fabric barrier.
   bool detection_enabled_ = false;
+  // Per machine, the vertex chunk its GGB holds; set by Run() before the
+  // superstep loop starts, fixed for the run (replays included).
+  std::vector<int> resident_chunk_;
 
   // The source vertex process_range is scattering, for its Mark();
   // thread_local because process_range also runs on worker threads.

@@ -467,7 +467,7 @@ void JobManager::RunJob(Job* job) {
   for (int m = 0; m < cluster_->num_machines(); ++m) {
     DiskDevice* disk = cluster_->machine(m)->disk();
     (void)disk->Remove(options.scratch_prefix + kVertexAttrFileName);
-    for (int c = 1; c < pg_->q; ++c) {
+    for (int c = 0; c < pg_->q; ++c) {
       (void)disk->Remove(options.scratch_prefix + "spill_" +
                          std::to_string(c) + ".bin");
     }

@@ -139,6 +139,57 @@ TEST_F(EngineCorruption, SparseWindowDestinationOutsideGraphIsCorruption) {
       << status.ToString();
 }
 
+// The gather copies each run of records for a spilled chunk into its
+// spill buffer whole; a bad vertex id right after such a run must still
+// fail the query, naming that id.
+TEST_F(EngineCorruption, BadVertexAfterSpilledRunIsCorruption) {
+  const PartitionedGraph& pg = *system_->partition();
+  const int last = pg.p - 1;
+  // The engine keeps the chunk with the most incoming edges in memory;
+  // at q = 2 the other one spills.
+  uint64_t in_edges[2] = {0, 0};
+  for (const MachinePartition& part : pg.machines) {
+    for (const EdgeChunkInfo& chunk : part.chunks) {
+      if (chunk.dst_chunk / pg.q == last) {
+        in_edges[chunk.dst_chunk % pg.q] += chunk.num_edges;
+      }
+    }
+  }
+  const int spilled_chunk = in_edges[1] > in_edges[0] ? 0 : 1;
+  const VertexRange spilled = pg.VertexChunkRange(last, spilled_chunk);
+  ASSERT_GE(spilled.size(), 4u);
+  // One active source with an out-edge: its window takes the sparse path,
+  // which ships updates to their owners without a range check.
+  const VertexRange first = pg.MachineRange(0);
+  VertexId source = first.begin;
+  while (source < first.end && pg.out_degree[source] == 0) ++source;
+  ASSERT_LT(source, first.end);
+  const VertexId bad = pg.num_vertices + 1000;  // owned by the last machine
+
+  KWalkApp<uint64_t, uint64_t> app;
+  app.max_supersteps = 1;
+  app.init = [source](VertexId v, uint64_t&) { return v == source; };
+  app.adj_scatter[1] = [spilled, bad](ScatterContext<uint64_t, uint64_t>& ctx,
+                                      VertexId, const uint64_t&,
+                                      std::span<const VertexId>) {
+    for (VertexId v = spilled.begin; v < spilled.begin + 4; ++v) {
+      ctx.Update(v, 1);
+    }
+    ctx.Update(bad, 1);
+  };
+  app.vertex_gather = [](uint64_t& acc, const uint64_t& in) { acc += in; };
+  app.vertex_apply = [](VertexId, uint64_t&, const uint64_t*) {
+    return false;
+  };
+  EngineOptions options;
+  options.frontier.sparse_windows = true;
+  const Status status = system_->RunQuery(app, options).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("vertex " + std::to_string(bad)),
+            std::string::npos)
+      << status.ToString();
+}
+
 // A pull_scatter that updates a vertex other than its own source breaks
 // the pull contract (core/app.h); the engine reports it instead of
 // aborting the process.

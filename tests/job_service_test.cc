@@ -97,6 +97,36 @@ TEST(JobService, ConcurrentResultsMatchSerialBitForBit) {
   EXPECT_EQ(manager.ledger().reserved(), 0u);
 }
 
+// A finished job leaves none of its spill partitions behind: any of the
+// q vertex chunks may spill, whichever one the GGB keeps.
+TEST(JobService, FinishedJobLeavesNoSpillFiles) {
+  const EdgeList graph = GenerateRmatX(12, 34);
+  TurboGraphSystem system(ServiceCluster("spill_cleanup"));
+  ASSERT_TRUE(system.LoadGraph(graph, PartitionScheme::kBbp, /*q=*/2).ok());
+  system.cluster()->ResetCountersAndCaches();
+
+  JobManager manager(system.cluster(), system.partition(), {});
+  auto id = manager.Submit(Spec("pr", 3));
+  ASSERT_TRUE(id.ok());
+  auto job = manager.Wait(*id, 120000);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(job->state, JobState::kDone) << job->error;
+
+  const std::string spill_prefix = "job" + std::to_string(*id) + "_spill_";
+  uint64_t spilled = 0;
+  for (int m = 0; m < system.cluster()->num_machines(); ++m) {
+    Machine* machine = system.cluster()->machine(m);
+    spilled += machine->metrics()->updates_spilled.value();
+    for (const auto& entry :
+         std::filesystem::directory_iterator(machine->disk()->dir())) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_NE(name.rfind(spill_prefix, 0), 0u)
+          << "machine " << m << " kept " << name;
+    }
+  }
+  EXPECT_GT(spilled, 0u);
+}
+
 TEST(JobService, AdmissionBlocksUntilBudgetFrees) {
   const EdgeList graph = GenerateRmatX(12, 32);
   TurboGraphSystem system(ServiceCluster("admission"));

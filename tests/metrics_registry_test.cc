@@ -424,7 +424,7 @@ TEST(EndToEnd, UpdateCountersAreExactAtTheBarrier) {
     EXPECT_EQ(generated, edges * static_cast<uint64_t>(stats->supersteps));
     // Every update sent is received once: gathered in memory or spilled.
     EXPECT_EQ(gathered + spilled, sent);
-    EXPECT_GT(spilled, 0u);  // q = 2: chunk 1 spills
+    EXPECT_GT(spilled, 0u);  // q = 2: the non-resident chunk spills
     if (!local_gather) {
       EXPECT_EQ(sent, generated);
     }
